@@ -70,17 +70,24 @@ run_determinism() {
       --workload two_mm --pipeline "${pipeline}" > /dev/null
   done
 
+  # TwoMm has 2 nodes, so ResNet-18 is what drives the multi-wave
+  # parallelization path into array partitioning.
   echo "==> [determinism] --jobs 1 vs --jobs 4: --no-timing output must be byte-identical"
-  local jobs1 jobs4
-  jobs1=$(cargo run --release -q -p hida --bin hida-opt -- \
-    --workload two_mm --jobs 1 --no-timing)
-  jobs4=$(cargo run --release -q -p hida --bin hida-opt -- \
-    --workload two_mm --jobs 4 --no-timing)
-  if [[ "${jobs1}" != "${jobs4}" ]]; then
-    echo "--jobs 1 and --jobs 4 outputs diverged"
-    diff <(echo "${jobs1}") <(echo "${jobs4}") || true
-    exit 1
-  fi
+  local jobs1 jobs4 workload_args
+  for workload_args in "--workload two_mm" "--workload resnet-18 --preset dnn"; do
+    echo "    -> ${workload_args}"
+    # shellcheck disable=SC2086 # the argument list is split on purpose
+    jobs1=$(cargo run --release -q -p hida --bin hida-opt -- \
+      ${workload_args} --jobs 1 --no-timing)
+    # shellcheck disable=SC2086
+    jobs4=$(cargo run --release -q -p hida --bin hida-opt -- \
+      ${workload_args} --jobs 4 --no-timing)
+    if [[ "${jobs1}" != "${jobs4}" ]]; then
+      echo "--jobs 1 and --jobs 4 outputs diverged (${workload_args})"
+      diff <(echo "${jobs1}") <(echo "${jobs4}") || true
+      exit 1
+    fi
+  done
 
   echo "==> [determinism] hida-opt --sweep: --jobs 1 vs --jobs 4 must be byte-identical"
   local sweep_variants sweep1 sweep4

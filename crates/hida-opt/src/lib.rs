@@ -139,7 +139,8 @@ pub struct HidaOptions {
     /// Buffers larger than this many bytes are spilled to external memory
     /// (soft FIFO) when tiling is enabled.
     pub external_threshold_bytes: i64,
-    /// Target device (drives resource-constrained parallel factor generation).
+    /// Target device: the device QoR is estimated for, and the `device`
+    /// option of the parallelize pass (which does not consult it yet).
     pub device: FpgaDevice,
 }
 

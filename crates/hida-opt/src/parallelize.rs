@@ -273,6 +273,13 @@ fn next_pow2(x: i64) -> i64 {
 /// `constraints_list` holds one constraint vector per already-parallelized connected
 /// node: for each loop dimension, the factor the neighbour's parallelization implies
 /// (or `None` when the dimension is unconstrained).
+///
+/// The design-space exploration is a depth-first search over per-dimension
+/// candidates in ascending order that keeps the first leaf with the best
+/// score (latency, then constraint mismatches, largest factor and inner-loop
+/// preference). A branch is skipped only when its latency lower bound is
+/// strictly above the best latency found so far, so the result equals the
+/// exhaustive enumeration's.
 pub fn select_unroll_factors(
     profile: &ComputeProfile,
     parallel_factor: i64,
@@ -282,86 +289,119 @@ pub fn select_unroll_factors(
     if rank == 0 {
         return Vec::new();
     }
-    // Candidate factors per dimension: powers of two up to min(trip, budget);
-    // reduction dimensions are not unrolled.
-    let mut candidates: Vec<Vec<i64>> = Vec::with_capacity(rank);
-    for dim in &profile.loop_dims {
-        if dim.reduction {
-            candidates.push(vec![1]);
-            continue;
-        }
-        let cap = next_pow2(dim.trip.max(1)).min(next_pow2(parallel_factor));
-        let mut options = Vec::new();
-        let mut f = 1;
-        while f <= cap {
-            options.push(f);
-            f *= 2;
-        }
-        candidates.push(options);
-    }
+    // Validity is a per-dimension test (plus the product cap the search
+    // enforces), so candidates that break a constraint are dropped up front
+    // and every leaf the search reaches is valid.
+    let candidates: Vec<Vec<i64>> = unroll_candidates(profile, parallel_factor)
+        .into_iter()
+        .enumerate()
+        .map(|(dim, options)| {
+            options
+                .into_iter()
+                .filter(|&factor| {
+                    constraints_list.iter().all(|constraints| {
+                        constraints
+                            .get(dim)
+                            .copied()
+                            .flatten()
+                            .is_none_or(|c| divides_either(factor, c))
+                    })
+                })
+                .collect()
+        })
+        .collect();
+    // Each dimension's fewest iterations, at its largest candidate.
+    let min_trips: Vec<f64> = profile
+        .loop_dims
+        .iter()
+        .zip(&candidates)
+        .map(|(dim, options)| trips_at(dim.trip, options.last().copied().unwrap_or(1)))
+        .collect();
+    let mut search = UnrollSearch {
+        profile,
+        constraints_list,
+        candidates: &candidates,
+        min_trips: &min_trips,
+        cap: parallel_factor,
+        current: vec![1; rank],
+        best: None,
+    };
+    search.visit(0, 1, 1.0);
+    search.best.map(|(_, f)| f).unwrap_or_else(|| vec![1; rank])
+}
 
-    // Exhaustive enumeration with product pruning (the DSE loop of Algorithm 4).
-    let mut best: Option<(Score, Vec<i64>)> = None;
-    let mut current = vec![1_i64; rank];
-    enumerate(
-        &candidates,
-        0,
-        1,
-        parallel_factor,
-        &mut current,
-        &mut |factors| {
-            if !is_valid(factors, parallel_factor, constraints_list) {
+/// Candidate factors per dimension: powers of two up to min(trip, budget);
+/// reduction dimensions are not unrolled.
+fn unroll_candidates(profile: &ComputeProfile, parallel_factor: i64) -> Vec<Vec<i64>> {
+    profile
+        .loop_dims
+        .iter()
+        .map(|dim| {
+            if dim.reduction {
+                return vec![1];
+            }
+            let cap = next_pow2(dim.trip.max(1)).min(next_pow2(parallel_factor));
+            std::iter::successors(Some(1_i64), |f| Some(f * 2))
+                .take_while(|&f| f <= cap)
+                .collect()
+        })
+        .collect()
+}
+
+/// Iterations left in a loop of `trip` iterations unrolled by `factor`.
+fn trips_at(trip: i64, factor: i64) -> f64 {
+    ((trip.max(1) + factor - 1) / factor) as f64
+}
+
+/// Mutual divisibility of a factor and its (clamped) constraint, Algorithm 4
+/// lines 13-18.
+fn divides_either(factor: i64, constraint: i64) -> bool {
+    let c = constraint.max(1);
+    c % factor == 0 || factor % c == 0
+}
+
+/// The bounded depth-first search behind [`select_unroll_factors`].
+struct UnrollSearch<'a> {
+    profile: &'a ComputeProfile,
+    constraints_list: &'a [Vec<Option<i64>>],
+    candidates: &'a [Vec<i64>],
+    min_trips: &'a [f64],
+    cap: i64,
+    current: Vec<i64>,
+    best: Option<(Score, Vec<i64>)>,
+}
+
+impl UnrollSearch<'_> {
+    /// Visits every completion of `current[..dim]`, whose factor product is
+    /// `product` and whose iteration latency so far is `latency`.
+    fn visit(&mut self, dim: usize, product: i64, latency: f64) {
+        if let Some((best, _)) = &self.best {
+            // Folded left to right like the score's own product: each step
+            // multiplies by a factor no larger than any leaf's, and rounding is
+            // monotone, so the bound never exceeds the latency of a leaf below.
+            let bound = self.min_trips[dim..]
+                .iter()
+                .fold(latency, |acc, &t| acc * t);
+            if bound > best.latency {
                 return;
             }
-            let score = score_factors(profile, factors, constraints_list);
-            if best.as_ref().map(|(b, _)| score < *b).unwrap_or(true) {
-                best = Some((score, factors.to_vec()));
-            }
-        },
-    );
-    best.map(|(_, f)| f).unwrap_or_else(|| vec![1; rank])
-}
-
-fn enumerate(
-    candidates: &[Vec<i64>],
-    dim: usize,
-    product: i64,
-    cap: i64,
-    current: &mut Vec<i64>,
-    visit: &mut dyn FnMut(&[i64]),
-) {
-    if dim == candidates.len() {
-        visit(current);
-        return;
-    }
-    for &f in &candidates[dim] {
-        if product * f > cap {
-            break;
         }
-        current[dim] = f;
-        enumerate(candidates, dim + 1, product * f, cap, current, visit);
-    }
-    current[dim] = 1;
-}
-
-/// Validity per Algorithm 4 lines 13-18: every factor must be mutually divisible with
-/// its constraint, and the total parallelism must not exceed the parallel factor.
-fn is_valid(factors: &[i64], parallel_factor: i64, constraints_list: &[Vec<Option<i64>>]) -> bool {
-    let product: i64 = factors.iter().product();
-    if product > parallel_factor {
-        return false;
-    }
-    for constraints in constraints_list {
-        for (&factor, constraint) in factors.iter().zip(constraints) {
-            if let Some(c) = constraint {
-                let c = (*c).max(1);
-                if c % factor != 0 && factor % c != 0 {
-                    return false;
-                }
+        if dim == self.candidates.len() {
+            let score = score_factors(self.profile, &self.current, self.constraints_list);
+            if self.best.as_ref().is_none_or(|(b, _)| score < *b) {
+                self.best = Some((score, self.current.clone()));
             }
+            return;
+        }
+        let trip = self.profile.loop_dims[dim].trip;
+        for &factor in &self.candidates[dim] {
+            if product * factor > self.cap {
+                break;
+            }
+            self.current[dim] = factor;
+            self.visit(dim + 1, product * factor, latency * trips_at(trip, factor));
         }
     }
-    true
 }
 
 /// Ordering key: lower is better.
@@ -386,7 +426,7 @@ fn score_factors(
         .loop_dims
         .iter()
         .zip(factors)
-        .map(|(d, &f)| ((d.trip.max(1) + f - 1) / f) as f64)
+        .map(|(d, &f)| trips_at(d.trip, f))
         .product();
     let mut mismatches = 0.0;
     for constraints in constraints_list {
@@ -415,6 +455,9 @@ fn score_factors(
 
 /// Runs the full parallelization (steps 1-4 plus array partitioning) over a schedule.
 ///
+/// The target device does not enter the computation yet: budgets come from
+/// `max_parallel_factor` and node intensity alone.
+///
 /// # Errors
 /// Propagates unroll application failures.
 pub fn parallelize_schedule(
@@ -433,7 +476,6 @@ pub fn parallelize_schedule(
     for info in &infos {
         let constraints_list = if mode.connection_aware() {
             constraints_for(
-                ctx,
                 info.node,
                 info.profile.loop_dims.len(),
                 &connections,
@@ -600,7 +642,7 @@ pub fn plan_node_parallelization(
                     .or_insert_with(|| transforms::unroll_factors_of(ctx, peer.id(), rank));
             }
         }
-        constraints_for(ctx, node, my_profile.loop_dims.len(), &connections, &chosen)
+        constraints_for(node, my_profile.loop_dims.len(), &connections, &chosen)
     } else {
         Vec::new()
     };
@@ -646,7 +688,6 @@ pub fn naive_factors(profile: &ComputeProfile, max_parallel_factor: i64) -> Vec<
 /// Builds the constraint vectors for `info` from the connections to nodes that were
 /// already parallelized (Algorithm 4 lines 2-8).
 fn constraints_for(
-    _ctx: &Context,
     node: NodeOp,
     rank: usize,
     connections: &[Connection],
@@ -698,61 +739,92 @@ pub fn assign_array_partitions(
     schedule: ScheduleOp,
     chosen: &HashMap<NodeOp, Vec<i64>>,
 ) {
-    let buffers = schedule.internal_buffers(ctx);
-    for buffer in buffers {
-        let value = buffer.value(ctx);
-        let rank = buffer.shape(ctx).len();
-        if rank == 0 {
+    for (buffer, partition) in array_partitions(ctx, analyses, schedule, chosen) {
+        buffer.set_partition(&mut *ctx, &partition);
+    }
+}
+
+/// The partition of every internal buffer of rank > 0 (Table 6), computed in
+/// one pass over the nodes and one over the buffers.
+fn array_partitions(
+    ctx: &Context,
+    analyses: &mut AnalysisManager,
+    schedule: ScheduleOp,
+    chosen: &HashMap<NodeOp, Vec<i64>>,
+) -> Vec<(BufferOp, ArrayPartition)> {
+    // Per buffer value and buffer dimension: the largest bank requirement any
+    // node's unrolled access makes, and whether any access is strided.
+    let mut requirements: HashMap<ValueId, Vec<(i64, bool)>> = HashMap::new();
+    for node in schedule.nodes(ctx) {
+        let Some(unroll) = chosen.get(&node) else {
             continue;
-        }
-        let mut factors = vec![1_i64; rank];
-        let mut strided = vec![false; rank];
-        for node in schedule.nodes(ctx) {
-            let unroll = match chosen.get(&node) {
-                Some(u) => u.clone(),
-                None => continue,
+        };
+        let profile = analyses.get::<ComputeProfile>(ctx, node.id());
+        let operands = &ctx.op(node.id()).operands;
+        let args = &ctx.block(node.body(ctx)).args;
+        for (index, (&value, &arg)) in operands.iter().zip(args).enumerate() {
+            // A buffer passed twice is accessed through its first slot, as
+            // `NodeOp::arg_for` resolves it.
+            if operands[..index].contains(&value) {
+                continue;
+            }
+            let Some(access) = profile.access_of(arg) else {
+                continue;
             };
-            let profile = analyses.get::<ComputeProfile>(ctx, node.id());
-            let access = node
-                .arg_for(ctx, value)
-                .and_then(|arg| profile.access_of(arg).cloned());
-            if let Some(access) = access {
-                for (dim, pattern) in access.pattern.dims.iter().enumerate() {
-                    if let Some((loop_idx, stride)) = pattern {
-                        let u = unroll.get(*loop_idx).copied().unwrap_or(1).max(1);
-                        let requirement = next_pow2(u * stride.abs().max(1));
-                        if dim < rank {
-                            factors[dim] = factors[dim].max(requirement);
-                            if stride.abs() > 1 {
-                                strided[dim] = true;
-                            }
-                        }
+            let dims = requirements.entry(value).or_default();
+            for (dim, pattern) in access.pattern.dims.iter().enumerate() {
+                if let Some((loop_idx, stride)) = pattern {
+                    let u = unroll.get(*loop_idx).copied().unwrap_or(1).max(1);
+                    if dims.len() <= dim {
+                        dims.resize(dim + 1, (1, false));
                     }
+                    let (factor, strided) = &mut dims[dim];
+                    *factor = (*factor).max(next_pow2(u * stride.abs().max(1)));
+                    *strided |= stride.abs() > 1;
                 }
             }
         }
-        // Clamp to the dimension size and build the partition directive.
-        let shape = buffer.shape(ctx);
-        let fashions: Vec<PartitionFashion> = factors
-            .iter()
-            .zip(&strided)
-            .map(|(&f, &s)| {
-                if f <= 1 {
-                    PartitionFashion::None
-                } else if s {
-                    PartitionFashion::Block
-                } else {
-                    PartitionFashion::Cyclic
-                }
-            })
-            .collect();
-        let factors: Vec<i64> = factors
-            .iter()
-            .zip(&shape)
-            .map(|(&f, &s)| f.clamp(1, s.max(1)))
-            .collect();
-        buffer.set_partition(&mut *ctx, &ArrayPartition { fashions, factors });
     }
+    schedule
+        .internal_buffers(ctx)
+        .into_iter()
+        .filter_map(|buffer| {
+            let shape = buffer.shape(ctx);
+            if shape.is_empty() {
+                return None;
+            }
+            let mut dims = vec![(1, false); shape.len()];
+            if let Some(required) = requirements.get(&buffer.value(ctx)) {
+                for (dim, &requirement) in dims.iter_mut().zip(required) {
+                    *dim = requirement;
+                }
+            }
+            Some((buffer, partition_directive(&shape, &dims)))
+        })
+        .collect()
+}
+
+/// Builds the partition directive of one buffer from its per-dimension
+/// `(bank requirement, strided)` pairs, clamping factors to the dimension size.
+fn partition_directive(shape: &[i64], dims: &[(i64, bool)]) -> ArrayPartition {
+    let fashions = dims
+        .iter()
+        .map(|&(f, s)| {
+            if f <= 1 {
+                PartitionFashion::None
+            } else if s {
+                PartitionFashion::Block
+            } else {
+                PartitionFashion::Cyclic
+            }
+        })
+        .collect();
+    let factors = dims
+        .iter()
+        .zip(shape)
+        .map(|(&(f, _), &s)| f.clamp(1, s.max(1)))
+        .collect();
+    ArrayPartition { fashions, factors }
 }
 
 /// Returns the partition assigned to a buffer (test/report helper).
@@ -941,6 +1013,241 @@ mod tests {
         let factors = select_unroll_factors(&with_reduction, 8, &[]);
         assert_eq!(factors[1], 1);
         assert_eq!(factors[0], 8);
+    }
+
+    /// The exhaustive Algorithm 4 enumeration the bounded search replaced:
+    /// every leaf under the product cap, validated and scored, first minimum
+    /// kept.
+    fn select_unroll_factors_reference(
+        profile: &ComputeProfile,
+        parallel_factor: i64,
+        constraints_list: &[Vec<Option<i64>>],
+    ) -> Vec<i64> {
+        fn enumerate(
+            candidates: &[Vec<i64>],
+            dim: usize,
+            product: i64,
+            cap: i64,
+            current: &mut Vec<i64>,
+            visit: &mut dyn FnMut(&[i64]),
+        ) {
+            if dim == candidates.len() {
+                visit(current);
+                return;
+            }
+            for &f in &candidates[dim] {
+                if product * f > cap {
+                    break;
+                }
+                current[dim] = f;
+                enumerate(candidates, dim + 1, product * f, cap, current, visit);
+            }
+            current[dim] = 1;
+        }
+        fn is_valid(
+            factors: &[i64],
+            parallel_factor: i64,
+            constraints_list: &[Vec<Option<i64>>],
+        ) -> bool {
+            let product: i64 = factors.iter().product();
+            if product > parallel_factor {
+                return false;
+            }
+            for constraints in constraints_list {
+                for (&factor, constraint) in factors.iter().zip(constraints) {
+                    if let Some(c) = constraint {
+                        let c = (*c).max(1);
+                        if c % factor != 0 && factor % c != 0 {
+                            return false;
+                        }
+                    }
+                }
+            }
+            true
+        }
+        let rank = profile.loop_dims.len();
+        if rank == 0 {
+            return Vec::new();
+        }
+        let mut candidates: Vec<Vec<i64>> = Vec::with_capacity(rank);
+        for dim in &profile.loop_dims {
+            if dim.reduction {
+                candidates.push(vec![1]);
+                continue;
+            }
+            let cap = next_pow2(dim.trip.max(1)).min(next_pow2(parallel_factor));
+            let mut options = Vec::new();
+            let mut f = 1;
+            while f <= cap {
+                options.push(f);
+                f *= 2;
+            }
+            candidates.push(options);
+        }
+        let mut best: Option<(Score, Vec<i64>)> = None;
+        let mut current = vec![1_i64; rank];
+        enumerate(
+            &candidates,
+            0,
+            1,
+            parallel_factor,
+            &mut current,
+            &mut |factors| {
+                if !is_valid(factors, parallel_factor, constraints_list) {
+                    return;
+                }
+                let score = score_factors(profile, factors, constraints_list);
+                if best.as_ref().map(|(b, _)| score < *b).unwrap_or(true) {
+                    best = Some((score, factors.to_vec()));
+                }
+            },
+        );
+        best.map(|(_, f)| f).unwrap_or_else(|| vec![1; rank])
+    }
+
+    /// The buffers x nodes partition loop the one-pass [`array_partitions`]
+    /// replaced.
+    fn array_partitions_reference(
+        ctx: &Context,
+        analyses: &mut AnalysisManager,
+        schedule: ScheduleOp,
+        chosen: &HashMap<NodeOp, Vec<i64>>,
+    ) -> Vec<(BufferOp, ArrayPartition)> {
+        let mut partitions = Vec::new();
+        for buffer in schedule.internal_buffers(ctx) {
+            let value = buffer.value(ctx);
+            let shape = buffer.shape(ctx);
+            let rank = shape.len();
+            if rank == 0 {
+                continue;
+            }
+            let mut dims = vec![(1_i64, false); rank];
+            for node in schedule.nodes(ctx) {
+                let Some(unroll) = chosen.get(&node) else {
+                    continue;
+                };
+                let profile = analyses.get::<ComputeProfile>(ctx, node.id());
+                let Some(access) = node.arg_for(ctx, value).and_then(|a| profile.access_of(a))
+                else {
+                    continue;
+                };
+                for (dim, pattern) in access.pattern.dims.iter().enumerate() {
+                    if let Some((loop_idx, stride)) = pattern {
+                        let u = unroll.get(*loop_idx).copied().unwrap_or(1).max(1);
+                        if dim < rank {
+                            dims[dim].0 = dims[dim].0.max(next_pow2(u * stride.abs().max(1)));
+                            dims[dim].1 |= stride.abs() > 1;
+                        }
+                    }
+                }
+            }
+            partitions.push((buffer, partition_directive(&shape, &dims)));
+        }
+        partitions
+    }
+
+    proptest::proptest! {
+        /// The bounded search returns exactly the exhaustive enumeration's
+        /// factors. Each sampled case carries a batch of problems; budgets are
+        /// not restricted to powers of two and constraints include `Some(0)`,
+        /// odd values and `None`.
+        #[test]
+        fn bounded_search_matches_exhaustive_enumeration(
+            problems in proptest::collection::vec(
+                (
+                    proptest::collection::vec((1_i64..100, 0_u32..4), 0..6),
+                    0_i64..300,
+                    proptest::collection::vec(
+                        proptest::collection::vec(
+                            proptest::sample::select(vec![
+                                None, Some(0), Some(1), Some(2), Some(3), Some(4),
+                                Some(6), Some(8), Some(16), Some(32), Some(64),
+                            ]),
+                            0..7,
+                        ),
+                        0..4,
+                    ),
+                ),
+                32..33,
+            )
+        ) {
+            for (dims, budget, constraints) in problems {
+                let profile = ComputeProfile {
+                    loop_dims: dims
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &(trip, kind))| hida_dialects::analysis::ProfileLoopDim {
+                            name: format!("d{i}"),
+                            trip,
+                            reduction: kind == 0,
+                        })
+                        .collect(),
+                    ..ComputeProfile::default()
+                };
+                proptest::prop_assert_eq!(
+                    select_unroll_factors(&profile, budget, &constraints),
+                    select_unroll_factors_reference(&profile, budget, &constraints),
+                    "dims {:?}, budget {}, constraints {:?}",
+                    dims,
+                    budget,
+                    constraints
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_partitions_match_the_reference_on_every_model_and_mode() {
+        use crate::{HidaOptimizer, HidaOptions};
+        use hida_frontend::nn::{build_model, Model};
+        let modes = [
+            ParallelMode::IaCa,
+            ParallelMode::IaOnly,
+            ParallelMode::CaOnly,
+            ParallelMode::Naive,
+        ];
+        // The full flow, and the unfused one the ScaleHLS baseline runs
+        // (ResNet-18: 20 nodes fused, 49 unfused).
+        for (model, mode, fused) in Model::all()
+            .into_iter()
+            .flat_map(|m| modes.map(|mode| (m, mode)))
+            .flat_map(|(m, mode)| [(m, mode, true), (m, mode, false)])
+        {
+            let mut ctx = Context::new();
+            let module = ctx.create_module("m");
+            let func = build_model(&mut ctx, module, model);
+            let options = HidaOptions {
+                mode,
+                enable_fusion: fused,
+                enable_balancing: fused,
+                tile_size: HidaOptions::dnn().tile_size.filter(|_| fused),
+                ..HidaOptions::dnn()
+            };
+            let schedule = HidaOptimizer::new(options).run(&mut ctx, func).unwrap();
+            let mut analyses = AnalysisManager::new();
+            let chosen: HashMap<NodeOp, Vec<i64>> = schedule
+                .nodes(&ctx)
+                .into_iter()
+                .map(|node| {
+                    let rank = analyses
+                        .get::<ComputeProfile>(&ctx, node.id())
+                        .loop_dims
+                        .len();
+                    (node, transforms::unroll_factors_of(&ctx, node.id(), rank))
+                })
+                .collect();
+            let partitions = array_partitions(&ctx, &mut analyses, schedule, &chosen);
+            assert!(!partitions.is_empty(), "{model:?} has no buffers");
+            assert_eq!(
+                partitions,
+                array_partitions_reference(&ctx, &mut analyses, schedule, &chosen),
+                "{model:?} {mode:?} fused={fused}"
+            );
+            // The pipeline assigned the same partitions.
+            for (buffer, partition) in &partitions {
+                assert_eq!(buffer.partition(&ctx), *partition);
+            }
+        }
     }
 
     #[test]

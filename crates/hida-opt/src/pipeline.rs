@@ -416,7 +416,9 @@ pub struct ParallelizePass {
     pub max_parallel_factor: i64,
     /// Parallelization strategy (IA/CA ablation axis).
     pub mode: ParallelMode,
-    /// Target device for resource-constrained factor generation.
+    /// Target device, printed as the pass's `device` option. Parallel factors
+    /// do not depend on it yet: budgets come from `max_parallel_factor` and
+    /// node intensity alone.
     pub device: FpgaDevice,
 }
 
