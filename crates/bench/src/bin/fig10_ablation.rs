@@ -13,67 +13,63 @@
 //! `BENCH_sweep.json` (override with `--sweep-json <path>`). `--jobs <n>` caps
 //! the sweep's total worker-thread budget.
 //!
-//! `--cache-dir <dir>` backs the sweep's estimate cache with the persistent
-//! on-disk store: a second invocation pointed at the same directory reuses the
-//! first run's per-node estimates (`"persistent_cache"` in the JSON report
-//! shows the disk tier's hits/misses), which is how CI proves cross-process
-//! reuse. `--cache-limit-mb <n>` caps the store's size.
+//! Any other argument is rejected with exit code 2, so a typo such as
+//! `--jbos 4` cannot silently run with defaults.
 
-use hida::{EstimateStore, HidaOptions, Model, SharedEstimateCache, SweepPoint, Workload};
+use hida::{HidaOptions, Model, SweepPoint, Workload};
 use hida_bench::{variants, SweepRunner};
-use std::sync::Arc;
+
+const USAGE: &str = "usage: fig10_ablation [--full] [--jobs <n>] [--sweep-json <path>]";
+
+/// The parsed command line.
+struct Args {
+    full: bool,
+    jobs: usize,
+    json_path: String,
+}
+
+fn parse_args(argv: &[String]) -> Result<Args, String> {
+    let mut args = Args {
+        full: false,
+        jobs: hida::ir::default_jobs(),
+        json_path: "BENCH_sweep.json".to_string(),
+    };
+    let mut it = argv.iter();
+    while let Some(arg) = it.next() {
+        let mut value_of = |flag: &str| {
+            it.next()
+                .cloned()
+                .ok_or_else(|| format!("{flag} requires a value"))
+        };
+        match arg.as_str() {
+            "--full" => args.full = true,
+            "--sweep-json" => args.json_path = value_of("--sweep-json")?,
+            "--jobs" => {
+                let raw = value_of("--jobs")?;
+                args.jobs = match raw.parse() {
+                    Ok(jobs) if jobs >= 1 => jobs,
+                    _ => return Err(format!("--jobs: '{raw}' is not a positive integer")),
+                };
+            }
+            other => return Err(format!("unknown argument '{other}' ({USAGE})")),
+        }
+    }
+    Ok(args)
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let json_path = value_of("--sweep-json").unwrap_or_else(|| "BENCH_sweep.json".to_string());
-    let jobs: usize = match value_of("--jobs") {
-        Some(raw) => match raw.parse() {
-            Ok(jobs) if jobs >= 1 => jobs,
-            _ => {
-                eprintln!("error: --jobs: '{raw}' is not a positive integer");
-                std::process::exit(2);
-            }
-        },
-        None if args.iter().any(|a| a == "--jobs") => {
-            eprintln!("error: --jobs requires a value");
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        full,
+        jobs,
+        json_path,
+    } = match parse_args(&argv) {
+        Ok(args) => args,
+        Err(message) => {
+            eprintln!("error: {message}");
             std::process::exit(2);
         }
-        None => hida::ir::default_jobs(),
     };
-    let cache_dir = value_of("--cache-dir");
-    let cache_limit_mb: Option<u64> = match value_of("--cache-limit-mb") {
-        Some(raw) => match raw.parse() {
-            Ok(mb) if mb >= 1 => Some(mb),
-            _ => {
-                eprintln!("error: --cache-limit-mb: '{raw}' is not a positive integer");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    };
-    if cache_limit_mb.is_some() && cache_dir.is_none() {
-        eprintln!("error: --cache-limit-mb requires --cache-dir");
-        std::process::exit(2);
-    }
-    let cache = cache_dir.map(|dir| {
-        let mut store = match EstimateStore::open(&dir) {
-            Ok(store) => store,
-            Err(e) => {
-                eprintln!("error: --cache-dir {dir}: {e}");
-                std::process::exit(2);
-            }
-        };
-        if let Some(mb) = cache_limit_mb {
-            store = store.with_limit_bytes(mb * 1024 * 1024);
-        }
-        Arc::new(SharedEstimateCache::with_store(store))
-    });
 
     let parallel_factors: Vec<i64> = if full {
         vec![1, 2, 4, 8, 16, 32, 64, 128, 256]
@@ -87,9 +83,6 @@ fn main() {
     };
 
     let mut runner = SweepRunner::new(if full { "fig10-full" } else { "fig10-reduced" });
-    if let Some(cache) = cache {
-        runner = runner.with_cache(cache);
-    }
     for &pf in &parallel_factors {
         for &tile in &tile_sizes {
             runner = runner.point(

@@ -12,19 +12,16 @@
 use hida::ir::printer::print_op;
 use hida::sweep::json_escape;
 use hida::{
-    CompilationResult, JobBudget, SharedEstimateCache, SweepEngine, SweepOutcome, SweepPoint,
-    SweepPointOutcome,
+    CompilationResult, JobBudget, SweepEngine, SweepOutcome, SweepPoint, SweepPointOutcome,
 };
 use std::fmt::Write as _;
 use std::path::Path;
-use std::sync::Arc;
 
 /// A named list of design points plus the machinery to run and report them.
 #[derive(Debug, Default)]
 pub struct SweepRunner {
     name: String,
     points: Vec<SweepPoint>,
-    cache: Option<Arc<SharedEstimateCache>>,
 }
 
 impl SweepRunner {
@@ -33,21 +30,7 @@ impl SweepRunner {
         SweepRunner {
             name: name.into(),
             points: Vec::new(),
-            cache: None,
         }
-    }
-
-    /// Uses `cache` for the pooled arm instead of a fresh per-run cache
-    /// (builder style). Hand in a cache created with
-    /// [`hida::SharedEstimateCache::with_store`] to persist estimates across
-    /// bench *processes*: the comparison then reports the disk tier's traffic
-    /// in `BENCH_sweep.json`, and a warm re-run of the same binary serves its
-    /// estimates from the store. The sequential baseline arm never sees the
-    /// cache — it stays the share-nothing loop the pooled results are
-    /// verified against.
-    pub fn with_cache(mut self, cache: Arc<SharedEstimateCache>) -> Self {
-        self.cache = Some(cache);
-        self
     }
 
     /// Appends a design point (builder style).
@@ -80,12 +63,9 @@ impl SweepRunner {
     /// Runs the sweep pooled with estimate sharing, splitting `total_jobs`
     /// threads over the points ([`JobBudget::for_points`]).
     pub fn run(&self, total_jobs: usize) -> SweepOutcome {
-        let mut engine =
-            SweepEngine::new().with_budget(JobBudget::for_points(total_jobs, self.points.len()));
-        if let Some(cache) = &self.cache {
-            engine = engine.with_cache(cache.clone());
-        }
-        engine.run(&self.points)
+        SweepEngine::new()
+            .with_budget(JobBudget::for_points(total_jobs, self.points.len()))
+            .run(&self.points)
     }
 
     /// Runs the sweep twice and verifies per-point byte-identity of the
@@ -206,9 +186,6 @@ impl SweepComparison {
         if let Some(cache) = &self.outcome.shared_cache {
             println!("cross-compilation estimate cache: {cache}");
         }
-        if let Some(persistent) = &self.outcome.persistent_cache {
-            println!("persistent estimate store: {persistent}");
-        }
         if self.qor_identical() {
             println!("per-point QoR: byte-identical to the sequential loop");
         } else {
@@ -254,27 +231,6 @@ impl SweepComparison {
             cache.entries,
             cache.hit_rate()
         );
-        // Nonzero persistent hits mean this process was served estimates
-        // written by an earlier one — the cold-vs-warm evidence the persist
-        // CI stage greps for.
-        match &self.outcome.persistent_cache {
-            Some(p) => {
-                let _ = writeln!(
-                    out,
-                    "  \"persistent_cache\": {{\"hits\": {}, \"misses\": {}, \"writes\": {}, \
-                     \"evictions\": {}, \"corrupt\": {}, \"write_errors\": {}, \
-                     \"read_errors\": {}}},",
-                    p.hits,
-                    p.misses,
-                    p.writes,
-                    p.evictions,
-                    p.corrupt,
-                    p.write_errors,
-                    p.read_errors
-                );
-            }
-            None => out.push_str("  \"persistent_cache\": null,\n"),
-        }
         out.push_str("  \"points\": [\n");
         for (i, point) in self.outcome.points.iter().enumerate() {
             let comma = if i + 1 < self.outcome.points.len() {

@@ -21,10 +21,7 @@
 //! worker-thread budget.
 
 use hida::sweep::{json_escape, JobBudget, SweepEngine, SweepOutcome, SweepPoint};
-use hida::{
-    EstimateStore, ExploreConfig, ExploreOutcome, Explorer, PersistentStoreStats, SharedCacheStats,
-    SharedEstimateCache, Workload,
-};
+use hida::{ExploreConfig, ExploreOutcome, Explorer, SharedCacheStats, Workload};
 use hida_dialects::analysis::ComputeProfile;
 use hida_estimator::dataflow::DataflowEstimator;
 use hida_estimator::device::FpgaDevice;
@@ -76,13 +73,6 @@ usage: hida-opt [OPTIONS]
   --device <name>       device for QoR estimation: pynq-z2 | zu3eg | vu9p-slr
                         (default: the pipeline's parallelize device, else
                         vu9p-slr)
-  --cache-dir <path>    persist per-node QoR estimates in a content-addressed
-                        store under <path> (created if missing): this run
-                        reuses estimates written by earlier processes sharing
-                        the directory, and writes its own back; corrupt or
-                        stale entries read as misses, never as errors
-  --cache-limit-mb <n>  size budget for --cache-dir in megabytes; writes past
-                        the budget evict least-recently-used entries
   --deadline-ms <n>     per-point wall-clock deadline in milliseconds: a point
                         that exceeds it is cancelled at the next checkpoint
                         and reported as timed-out; under --sweep the run
@@ -96,7 +86,7 @@ usage: hida-opt [OPTIONS]
                         checkpoint and remaining retries are skipped
   --inject-faults <s>   deterministic chaos testing: arm faults at named sites
                         from a seeded plan, e.g.
-                        \"seed=7,pass-panic=1,store-read=1,stall=1,stall-ms=200\"
+                        \"seed=7,pass-panic=1,stall=1,stall-ms=200\"
                         (add 'transient' to fire faults only on the first
                         attempt, so --retries can recover the point); which
                         points fault depends only on the seed and the point
@@ -242,8 +232,6 @@ struct Args {
     size: Option<i64>,
     jobs: Option<usize>,
     device: Option<String>,
-    cache_dir: Option<String>,
-    cache_limit_mb: Option<u64>,
     deadline_ms: Option<u64>,
     retries: Option<usize>,
     run_budget_ms: Option<u64>,
@@ -294,17 +282,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.jobs = Some(jobs);
             }
             "--device" => args.device = Some(value_of("--device")?),
-            "--cache-dir" => args.cache_dir = Some(value_of("--cache-dir")?),
-            "--cache-limit-mb" => {
-                let raw = value_of("--cache-limit-mb")?;
-                let mb: u64 = raw
-                    .parse()
-                    .map_err(|_| format!("--cache-limit-mb: '{raw}' is not an integer"))?;
-                if mb < 1 {
-                    return Err("--cache-limit-mb: must be >= 1".to_string());
-                }
-                args.cache_limit_mb = Some(mb);
-            }
             "--deadline-ms" => {
                 let raw = value_of("--deadline-ms")?;
                 let ms: u64 = raw
@@ -389,17 +366,6 @@ fn shared_cache_json(shared: &SharedCacheStats) -> String {
     )
 }
 
-fn persistent_json(persistent: Option<&PersistentStoreStats>) -> String {
-    match persistent {
-        Some(p) => format!(
-            "{{\"hits\":{},\"misses\":{},\"writes\":{},\"evictions\":{},\"corrupt\":{},\
-             \"write_errors\":{},\"read_errors\":{}}}",
-            p.hits, p.misses, p.writes, p.evictions, p.corrupt, p.write_errors, p.read_errors
-        ),
-        None => "null".to_string(),
-    }
-}
-
 /// Parses `--inject-faults` into a seeded plan; empty plans (no armed faults)
 /// collapse to `None` so the zero-cost fast path stays active.
 fn parse_fault_plan(args: &Args) -> Result<Option<FaultPlan>, String> {
@@ -410,24 +376,6 @@ fn parse_fault_plan(args: &Args) -> Result<Option<FaultPlan>, String> {
             Ok(if plan.is_empty() { None } else { Some(plan) })
         }
     }
-}
-
-/// Builds the shared estimate cache backed by `--cache-dir`, when set.
-fn build_cache(args: &Args) -> Result<Option<std::sync::Arc<SharedEstimateCache>>, String> {
-    let Some(dir) = &args.cache_dir else {
-        if args.cache_limit_mb.is_some() {
-            return Err("--cache-limit-mb requires --cache-dir".to_string());
-        }
-        return Ok(None);
-    };
-    let mut store = EstimateStore::open(dir)
-        .map_err(|e| format!("--cache-dir: cannot open store at '{dir}': {e}"))?;
-    if let Some(mb) = args.cache_limit_mb {
-        store = store.with_limit_bytes(mb * 1024 * 1024);
-    }
-    Ok(Some(std::sync::Arc::new(SharedEstimateCache::with_store(
-        store,
-    ))))
 }
 
 /// Renders one pass's statistics without timing or cache/worker counters:
@@ -459,8 +407,6 @@ fn stats_json(
     pipeline_text: &str,
     statistics: &[PassStatistics],
     estimator_cache: Option<&AnalysisCacheStats>,
-    shared: Option<&SharedCacheStats>,
-    persistent: Option<&PersistentStoreStats>,
 ) -> String {
     let totals = PassStatistics::aggregate_cache(statistics);
     let passes: Vec<String> = statistics
@@ -496,15 +442,12 @@ fn stats_json(
         .collect();
     format!(
         "{{\"workload\":\"{}\",\"pipeline\":\"{}\",\"passes\":[{}],\
-         \"analysis_cache_totals\":{},\"estimator_cache\":{},\
-         \"shared_cache\":{},\"persistent_cache\":{}}}",
+         \"analysis_cache_totals\":{},\"estimator_cache\":{}}}",
         json_escape(workload),
         json_escape(pipeline_text),
         passes.join(","),
         cache_json(&totals),
         estimator_cache.map_or_else(|| "null".to_string(), cache_json),
-        shared.map_or_else(|| "null".to_string(), shared_cache_json),
-        persistent_json(persistent),
     )
 }
 
@@ -542,8 +485,7 @@ fn sweep_json(workload: &str, outcome: &SweepOutcome) -> String {
         .collect();
     format!(
         "{{\"workload\":\"{}\",\"sweep\":{{\"pool_jobs\":{},\"point_jobs\":{},\
-         \"wall_seconds\":{:.6},\"points\":[{}],\"shared_cache_totals\":{},\
-         \"persistent_cache\":{}}}}}",
+         \"wall_seconds\":{:.6},\"points\":[{}],\"shared_cache_totals\":{}}}}}",
         json_escape(workload),
         outcome.budget.pool_jobs,
         outcome.budget.point_jobs,
@@ -553,7 +495,6 @@ fn sweep_json(workload: &str, outcome: &SweepOutcome) -> String {
             .shared_cache
             .as_ref()
             .map_or_else(|| "null".to_string(), shared_cache_json),
-        persistent_json(outcome.persistent_cache.as_ref()),
     )
 }
 
@@ -664,9 +605,6 @@ fn run_sweep(args: &Args) -> Result<(), String> {
     if let Some(plan) = plan {
         engine = engine.with_fault_plan(plan);
     }
-    if let Some(cache) = build_cache(args)? {
-        engine = engine.with_cache(cache);
-    }
     let outcome = engine.run(&points);
 
     for (index, point) in outcome.points.iter().enumerate() {
@@ -704,9 +642,6 @@ fn run_sweep(args: &Args) -> Result<(), String> {
                 "\nsweep wall-clock {:.4}s, cross-compilation estimate cache: {cache}",
                 outcome.wall_seconds
             );
-        }
-        if let Some(persistent) = &outcome.persistent_cache {
-            say!("persistent estimate store: {persistent}");
         }
     }
     if args.stats_json {
@@ -811,7 +746,7 @@ fn explore_json(workload: &str, outcome: &ExploreOutcome) -> String {
          \"adaptive\":{},\"num_candidates\":{},\"probed\":{},\"pruned\":{},\
          \"compiled\":{},\"compiles_saved\":{},\"wall_seconds\":{:.6},\
          \"seeds\":[{}],\"generations\":[{}],\"frontier\":[{}],\"points\":[{}],\
-         \"shared_cache_totals\":{},\"persistent_cache\":{}}}}}",
+         \"shared_cache_totals\":{}}}}}",
         json_escape(workload),
         outcome.budget.pool_jobs,
         outcome.budget.point_jobs,
@@ -830,7 +765,6 @@ fn explore_json(workload: &str, outcome: &ExploreOutcome) -> String {
             .shared_cache
             .as_ref()
             .map_or_else(|| "null".to_string(), shared_cache_json),
-        persistent_json(outcome.persistent_cache.as_ref()),
     )
 }
 
@@ -937,9 +871,6 @@ fn run_explore(args: &Args) -> Result<(), String> {
     if let Some(plan) = plan {
         explorer = explorer.with_fault_plan(plan);
     }
-    if let Some(cache) = build_cache(args)? {
-        explorer = explorer.with_cache(cache);
-    }
     let outcome = explorer.explore(&points)?;
 
     say!("seeds: {}", outcome.seeds.join(", "));
@@ -1011,9 +942,6 @@ fn run_explore(args: &Args) -> Result<(), String> {
         say!("exploration wall-clock {:.4}s", outcome.wall_seconds);
         if let Some(cache) = &outcome.shared_cache {
             say!("cross-compilation estimate cache: {cache}");
-        }
-        if let Some(persistent) = &outcome.persistent_cache {
-            say!("persistent estimate store: {persistent}");
         }
     }
     if args.stats_json {
@@ -1163,14 +1091,7 @@ fn run(args: Args) -> Result<(), String> {
         if args.stats_json {
             println!(
                 "{}",
-                stats_json(
-                    workload_name,
-                    &pipeline_text,
-                    pipeline.statistics(),
-                    None,
-                    None,
-                    None
-                )
+                stats_json(workload_name, &pipeline_text, pipeline.statistics(), None)
             );
         }
         return Err(e.to_string());
@@ -1206,14 +1127,7 @@ fn run(args: Args) -> Result<(), String> {
         );
     }
 
-    // With --cache-dir, QoR estimation runs against the persistent store:
-    // node estimates written by earlier processes are reused, and this run's
-    // fresh estimates are written back for the next one.
-    let shared_cache = build_cache(&args)?;
-    let mut estimator = DataflowEstimator::new(device.clone()).with_jobs(jobs);
-    if let Some(cache) = &shared_cache {
-        estimator = estimator.with_shared_cache(cache.clone());
-    }
+    let estimator = DataflowEstimator::new(device.clone()).with_jobs(jobs);
     let dataflow = estimator.estimate_schedule(&ctx, schedule, true);
     let sequential = estimator.estimate_schedule(&ctx, schedule, false);
     say!("\n# QoR estimate ({})", device.name);
@@ -1237,16 +1151,8 @@ fn run(args: Args) -> Result<(), String> {
             "estimator cache: {} (dataflow + sequential estimates share node estimates)",
             estimator.cache_stats()
         );
-        if let Some(cache) = &shared_cache {
-            say!("shared estimate cache: {}", cache.stats());
-            if let Some(persistent) = cache.persistent_stats() {
-                say!("persistent estimate store: {persistent}");
-            }
-        }
     }
     if args.stats_json {
-        let shared_stats = shared_cache.as_ref().map(|c| c.stats());
-        let persistent_stats = shared_cache.as_ref().and_then(|c| c.persistent_stats());
         println!(
             "{}",
             stats_json(
@@ -1254,8 +1160,6 @@ fn run(args: Args) -> Result<(), String> {
                 &pipeline_text,
                 pipeline.statistics(),
                 Some(&estimator.cache_stats()),
-                shared_stats.as_ref(),
-                persistent_stats.as_ref(),
             )
         );
     }

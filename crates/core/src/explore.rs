@@ -14,11 +14,11 @@
 //! * Surrogate pre-scoring: before compiling a candidate, the explorer
 //!   lowers it (front end + pass pipeline only) and bounds its QoR with
 //!   [`hida_estimator::surrogate::design_bound`] — exact per-node estimates
-//!   served from the [`SharedEstimateCache`] (including the persistent
-//!   store), optimistic bounds for unknown nodes. A candidate whose *bound*
-//!   is dominated by a compiled frontier point is pruned without the full
-//!   compile; the bound is componentwise `<=` the true estimate, so pruning
-//!   never discards a Pareto-optimal design.
+//!   served from the [`SharedEstimateCache`], optimistic bounds for unknown
+//!   nodes. A candidate whose *bound* is dominated by a compiled frontier
+//!   point is pruned without the full compile; the bound is componentwise
+//!   `<=` the true estimate, so pruning never discards a Pareto-optimal
+//!   design.
 //! * Compile batches run through the [`SweepEngine`], optionally under an
 //!   [`AdaptiveBudget`](crate::sweep::AdaptiveBudget) that re-splits
 //!   `point_jobs` as each generation's pool drains.
@@ -33,7 +33,6 @@ use crate::sweep::{JobBudget, SweepEngine, SweepPoint, SweepPointOutcome};
 use crate::Compiler;
 use hida_estimator::report::DesignEstimate;
 use hida_estimator::shared_cache::{SharedCacheStats, SharedEstimateCache};
-use hida_estimator::store::PersistentStoreStats;
 use hida_estimator::surrogate::{design_bound, DesignBound};
 use hida_ir_core::par::default_jobs;
 use hida_ir_core::parse_pipeline;
@@ -528,7 +527,7 @@ pub struct GenerationStats {
     pub failed: usize,
     /// Frontier size after the generation's inserts.
     pub frontier_size: usize,
-    /// Probe nodes served exactly from the shared cache / store.
+    /// Probe nodes served exactly from the shared cache.
     pub probe_hits: usize,
     /// Total nodes probed across the generation's surrogate bounds.
     pub probe_nodes: usize,
@@ -560,8 +559,6 @@ pub struct ExploreOutcome {
     pub wall_seconds: f64,
     /// Aggregate shared-cache traffic across all compile batches.
     pub shared_cache: Option<SharedCacheStats>,
-    /// Persistent-store traffic, when the cache has a disk tier.
-    pub persistent_cache: Option<PersistentStoreStats>,
 }
 
 impl ExploreOutcome {
@@ -592,7 +589,6 @@ pub struct Explorer {
     config: ExploreConfig,
     total_jobs: Option<usize>,
     verification: bool,
-    cache: Option<Arc<SharedEstimateCache>>,
     adaptive: bool,
     retries: usize,
     deadline_ms: Option<u64>,
@@ -612,7 +608,6 @@ impl Explorer {
             config,
             total_jobs: None,
             verification: true,
-            cache: None,
             adaptive: true,
             retries: 0,
             deadline_ms: None,
@@ -656,14 +651,6 @@ impl Explorer {
         self
     }
 
-    /// Uses an existing estimate cache (builder style) — e.g. one backed by a
-    /// persistent [`hida_estimator::store::EstimateStore`], so the surrogate
-    /// starts warm from earlier processes.
-    pub fn with_cache(mut self, cache: Arc<SharedEstimateCache>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
     /// Enables or disables adaptive per-point budget re-splitting inside
     /// compile batches (builder style; on by default).
     pub fn with_adaptive_budget(mut self, enabled: bool) -> Self {
@@ -684,10 +671,7 @@ impl Explorer {
     pub fn explore(&self, points: &[SweepPoint]) -> Result<ExploreOutcome, String> {
         let start = Instant::now();
         let lattice = KnobLattice::build(points)?;
-        let cache = self
-            .cache
-            .clone()
-            .unwrap_or_else(|| Arc::new(SharedEstimateCache::new()));
+        let cache = Arc::new(SharedEstimateCache::new());
         let total_jobs = self.total_jobs.unwrap_or_else(default_jobs);
         let mut engine = SweepEngine::new()
             .with_total_jobs(total_jobs)
@@ -841,7 +825,6 @@ impl Explorer {
             budget: nominal_budget,
             adaptive: self.adaptive,
             wall_seconds: start.elapsed().as_secs_f64(),
-            persistent_cache: cache.persistent_stats(),
             shared_cache: Some(cache.stats()),
         })
     }

@@ -62,7 +62,6 @@ pub use explore::{
 pub use hida_estimator::device::FpgaDevice;
 pub use hida_estimator::report::DesignEstimate;
 pub use hida_estimator::shared_cache::{SharedCacheStats, SharedEstimateCache};
-pub use hida_estimator::store::{EstimateStore, PersistentStoreStats};
 pub use hida_frontend::nn::Model;
 pub use hida_frontend::polybench::PolybenchKernel;
 pub use hida_ir_core::analysis::{
@@ -418,15 +417,6 @@ impl Compiler {
             hida_ir_core::verifier::verify(&ctx, module)
                 .map_err(|e| IrError::pass_failed("hida-pipeline", e.to_string()))?;
         }
-        // Chaos-harness site: an armed store-read fault surfaces as the
-        // `StoreDegraded` error a real unrecoverable EIO on the estimate
-        // store's read path would produce, and lands in the same counter.
-        if let Err(e) = hida_ir_core::fault::injected_store_read("estimator/store-read") {
-            if let Some(store) = self.shared_estimates.as_ref().and_then(|c| c.store()) {
-                store.note_injected_read_error();
-            }
-            return Err(e);
-        }
         let mut estimator =
             DataflowEstimator::new(self.options.device.clone()).with_jobs(self.jobs);
         if let Some(cache) = &self.shared_estimates {
@@ -434,13 +424,6 @@ impl Compiler {
         }
         let estimate = estimator.estimate_schedule(&ctx, schedule, true);
         let estimate_sequential = estimator.estimate_schedule(&ctx, schedule, false);
-        // Chaos-harness site: an armed short write drops one store publish —
-        // a counted, non-fatal degradation, exactly like a real ENOSPC.
-        if hida_ir_core::fault::injected_short_write() {
-            if let Some(store) = self.shared_estimates.as_ref().and_then(|c| c.store()) {
-                store.note_injected_write_error();
-            }
-        }
         let estimator_cache = estimator.cache_stats();
         let shared_estimator_cache = self
             .shared_estimates

@@ -25,7 +25,6 @@
 
 use crate::{CompilationResult, Compiler, HidaOptions, Workload};
 use hida_estimator::shared_cache::{SharedCacheStats, SharedEstimateCache};
-use hida_estimator::store::PersistentStoreStats;
 use hida_ir_core::fault::{self, CancelToken, FaultKind, FaultPlan};
 use hida_ir_core::par::{default_jobs, run_batch_isolated};
 use hida_ir_core::{IrError, IrResult, ParallelStats};
@@ -250,20 +249,16 @@ pub enum FailureReason {
     Panicked,
     /// A per-point deadline or the whole-run budget cancelled the point.
     TimedOut,
-    /// The persistent estimate store degraded fatally for this point.
-    StoreDegraded,
     /// An ordinary compilation error (verification, pass failure, ...).
     Failed,
 }
 
 impl FailureReason {
-    /// Stable report name (`Panicked` / `TimedOut` / `StoreDegraded` /
-    /// `Failed`).
+    /// Stable report name (`Panicked` / `TimedOut` / `Failed`).
     pub fn name(&self) -> &'static str {
         match self {
             FailureReason::Panicked => "Panicked",
             FailureReason::TimedOut => "TimedOut",
-            FailureReason::StoreDegraded => "StoreDegraded",
             FailureReason::Failed => "Failed",
         }
     }
@@ -280,7 +275,6 @@ pub fn classify_failure(error: &IrError) -> FailureReason {
     match error {
         IrError::WorkerPanic { .. } => FailureReason::Panicked,
         IrError::Cancelled { .. } => FailureReason::TimedOut,
-        IrError::StoreDegraded(_) => FailureReason::StoreDegraded,
         _ => FailureReason::Failed,
     }
 }
@@ -376,11 +370,6 @@ pub struct SweepOutcome {
     /// Aggregate traffic of the cross-compilation estimate cache (`None` when
     /// sharing was disabled).
     pub shared_cache: Option<SharedCacheStats>,
-    /// Traffic of the persistent estimate-store tier (`None` unless the
-    /// engine's cache was created with
-    /// [`SharedEstimateCache::with_store`]): nonzero hits mean this sweep
-    /// reused estimates written by an *earlier process*.
-    pub persistent_cache: Option<PersistentStoreStats>,
     /// Worker/steal counters of the sweep-level pool.
     pub pool: ParallelStats,
     /// Whether per-point worker counts were re-split adaptively as the pool
@@ -549,10 +538,6 @@ impl SweepEngine {
 
     /// Reuses an existing cache instead of creating a fresh one per run, so
     /// consecutive sweeps (e.g. CLI invocations in one process) keep sharing.
-    /// Hand in a cache created with [`SharedEstimateCache::with_store`] to
-    /// also persist estimates across *processes*: the outcome's
-    /// [`persistent_cache`](SweepOutcome::persistent_cache) then reports the
-    /// disk tier's traffic.
     pub fn with_cache(mut self, cache: Arc<SharedEstimateCache>) -> Self {
         self.cache = Some(cache);
         self.share_estimates = true;
@@ -665,7 +650,6 @@ impl SweepEngine {
             points: outcomes,
             budget,
             wall_seconds: start.elapsed().as_secs_f64(),
-            persistent_cache: cache.as_ref().and_then(|c| c.persistent_stats()),
             shared_cache: cache.map(|c| c.stats()),
             pool,
             adaptive: adaptive.is_some(),
@@ -676,7 +660,7 @@ impl SweepEngine {
     /// attempt runs under its own cancellation token (per-point deadline
     /// chained below the run budget) and an installed fault context, with the
     /// whole compilation wrapped in `catch_unwind` — panics, cancellations
-    /// and store degradations all land as structured [`PointAttempt`]s.
+    /// and ordinary errors all land as structured [`PointAttempt`]s.
     fn run_point(
         &self,
         point: &SweepPoint,
@@ -824,10 +808,6 @@ mod tests {
             FailureReason::TimedOut
         );
         assert_eq!(
-            classify_failure(&IrError::StoreDegraded("x".into())),
-            FailureReason::StoreDegraded
-        );
-        assert_eq!(
             classify_failure(&IrError::verification("bad")),
             FailureReason::Failed
         );
@@ -891,20 +871,6 @@ mod tests {
             .expect("the afflicted point must have retried");
         assert!(retried.failure.is_none());
         assert!(retried.result.is_ok());
-    }
-
-    #[test]
-    fn injected_store_read_fault_reports_store_degraded() {
-        let points = small_points(2);
-        let plan = FaultPlan::parse("seed=1,store-read=1").unwrap();
-        let outcome = SweepEngine::new()
-            .with_total_jobs(1)
-            .with_fault_plan(plan)
-            .run(&points);
-        assert_eq!(outcome.failed_labels().len(), 1);
-        let failed = outcome.points.iter().find(|p| p.result.is_err()).unwrap();
-        assert_eq!(failed.failure_reason(), Some(FailureReason::StoreDegraded));
-        assert!(matches!(&failed.result, Err(IrError::StoreDegraded(_))));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! deterministically under `--deadline-ms`, and recover transient faults
 //! under `--retries`.
 
-use hida::FaultPlan;
+use hida::{FaultKind, FaultPlan};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::Command;
@@ -65,18 +65,21 @@ fn point_blocks(stdout: &str) -> BTreeMap<String, String> {
 #[test]
 fn injected_faults_fail_exactly_the_planned_points_at_any_job_count() {
     let path = write_variants("chaos_sweep.txt", HEALTHY_VARIANTS);
-    let spec = "seed=7,pass-panic=1,store-read=1";
+    // One pass panic plus one stall that overruns the per-point deadline.
+    let spec = "seed=7,pass-panic=1,stall=1,stall-ms=400";
+    let chaos = ["--inject-faults", spec, "--deadline-ms", "50"];
 
     // The expected failed set comes from the plan alone — the same
     // assignment the engine computes, independent of scheduling.
     let plan = FaultPlan::parse(spec).expect("valid fault spec");
     let labels: Vec<String> = (1..=4).map(|i| format!("p{i:02}")).collect();
-    let expected: Vec<String> = plan.assign(&labels).keys().cloned().collect();
-    assert_eq!(expected.len(), 2, "the plan arms two fatal faults");
+    let assignment = plan.assign(&labels);
+    let expected: Vec<String> = assignment.keys().cloned().collect();
+    assert_eq!(expected.len(), 2, "the plan arms two faults");
 
-    let (ok, chaos1) = run_sweep(&path, "1", &["--inject-faults", spec]);
+    let (ok, chaos1) = run_sweep(&path, "1", &chaos);
     assert!(!ok, "a sweep with injected faults must exit nonzero");
-    let (ok, chaos4) = run_sweep(&path, "4", &["--inject-faults", spec]);
+    let (ok, chaos4) = run_sweep(&path, "4", &chaos);
     assert!(!ok);
     assert_eq!(
         chaos1, chaos4,
@@ -88,15 +91,20 @@ fn injected_faults_fail_exactly_the_planned_points_at_any_job_count() {
         chaos1.contains(&summary),
         "missing summary '{summary}' in:\n{chaos1}"
     );
-    assert!(
-        chaos1.contains("Panicked") && chaos1.contains("StoreDegraded"),
-        "failures must carry structured reasons:\n{chaos1}"
-    );
+    // Each failed point carries the structured reason of its own fault.
+    let chaos_blocks = point_blocks(&chaos1);
+    for (label, kind) in &assignment {
+        let reason = match kind {
+            FaultKind::PassPanic => "attempt 0: Panicked",
+            FaultKind::Stall => "attempt 0: TimedOut",
+        };
+        let block = &chaos_blocks[label];
+        assert!(block.contains(reason), "{label} lacks '{reason}':\n{block}");
+    }
 
     // Surviving points report exactly what a fault-free run reports.
     let (ok, clean) = run_sweep(&path, "1", &[]);
     assert!(ok, "the fault-free sweep must pass:\n{clean}");
-    let chaos_blocks = point_blocks(&chaos1);
     let clean_blocks = point_blocks(&clean);
     for label in &labels {
         if expected.contains(label) {

@@ -1,7 +1,7 @@
 //! Property tests for fault-isolated sweeps: across random point counts,
 //! plan seeds, fault mixes and job counts, the set of failed points is
-//! exactly the plan's fatal assignment (pass panics and store read errors),
-//! every report-level summary — [`SweepOutcome::all_ok`],
+//! exactly the plan's assignment (pass panics, and stalls that overrun the
+//! per-point deadline), every report-level summary — [`SweepOutcome::all_ok`],
 //! [`SweepOutcome::failed_labels`] and the CLI's `FAILED: n of m` line —
 //! agrees with it, and each failure carries the structured reason matching
 //! its injected fault kind.
@@ -13,6 +13,12 @@
 use hida::sweep::{JobBudget, SweepEngine, SweepPoint};
 use hida::{FailureReason, FaultKind, FaultPlan, HidaOptions, PolybenchKernel, Workload};
 use proptest::prelude::*;
+
+/// Per-point deadline every sampled sweep runs under: far above a healthy
+/// point's compile time, far below an injected stall.
+const DEADLINE_MS: u64 = 60;
+/// Injected stall length; a stalled point always overruns [`DEADLINE_MS`].
+const STALL_MS: u64 = 80;
 
 /// Cheap, distinct design points labeled `p01..pNN` like the CLI's sweeps.
 fn points(n: usize) -> Vec<SweepPoint> {
@@ -49,14 +55,15 @@ proptest! {
         n in 1_usize..5,
         seed in 0_u64..64,
         panics in 0_usize..3,
-        reads in 0_usize..3,
+        stalls in 0_usize..3,
         jobs in 1_usize..4,
     ) {
         hida_ir_core::fault::silence_expected_panics();
         let plan = FaultPlan {
             seed,
             pass_panics: panics,
-            store_reads: reads,
+            stalls,
+            stall_ms: STALL_MS,
             ..FaultPlan::default()
         };
         let points = points(n);
@@ -66,7 +73,9 @@ proptest! {
         // to the sweep's point order, so this matches failed_labels' order.
         let expected: Vec<&str> = assignment.keys().map(String::as_str).collect();
 
-        let mut engine = SweepEngine::new().with_budget(JobBudget::for_points(jobs, n));
+        let mut engine = SweepEngine::new()
+            .with_budget(JobBudget::for_points(jobs, n))
+            .with_deadline_ms(DEADLINE_MS);
         if !plan.is_empty() {
             engine = engine.with_fault_plan(plan.clone());
         }
@@ -85,8 +94,8 @@ proptest! {
                 Some(FaultKind::PassPanic) => {
                     prop_assert_eq!(point.failure_reason(), Some(FailureReason::Panicked));
                 }
-                Some(FaultKind::StoreRead) => {
-                    prop_assert_eq!(point.failure_reason(), Some(FailureReason::StoreDegraded));
+                Some(FaultKind::Stall) => {
+                    prop_assert_eq!(point.failure_reason(), Some(FailureReason::TimedOut));
                 }
                 _ => prop_assert!(point.result.is_ok()),
             }

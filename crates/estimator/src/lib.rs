@@ -18,11 +18,7 @@
 //! * [`shared_cache`] — a content-addressed [`SharedEstimateCache`] shared
 //!   *across* compilations, keyed by structural node fingerprints, so a
 //!   design-space sweep re-estimates only the nodes whose tiling or parallel
-//!   factors actually changed,
-//! * [`store`] — a persistent, disk-backed tier under the shared cache
-//!   ([`EstimateStore`]): content-addressed entry files with atomic writes,
-//!   corruption tolerance and size-budgeted eviction, so *separate processes*
-//!   (CLI runs, bench invocations, CI steps) share estimate work too.
+//!   factors actually changed.
 //!
 //! Per-node estimates are memoized through the shared analysis-cache machinery
 //! and — via [`DataflowEstimator::with_jobs`](dataflow::DataflowEstimator::with_jobs)
@@ -36,7 +32,6 @@ pub mod latency;
 pub mod report;
 pub mod resource;
 pub mod shared_cache;
-pub mod store;
 pub mod surrogate;
 
 pub use dataflow::DataflowEstimator;
@@ -45,5 +40,4 @@ pub use latency::NodeEstimate;
 pub use report::DesignEstimate;
 pub use resource::Resources;
 pub use shared_cache::{estimate_fingerprint, SharedCacheStats, SharedEstimateCache};
-pub use store::{EstimateStore, PersistentStoreStats, STORE_VERSION};
 pub use surrogate::{design_bound, DesignBound};

@@ -20,24 +20,14 @@
 //!
 //! Estimators attach to a cache with
 //! [`DataflowEstimator::with_shared_cache`]; a sweep engine creates one cache
-//! and hands a clone of the `Arc` to every concurrent compilation.
-//!
-//! With [`SharedEstimateCache::with_store`], the cache additionally layers a
-//! persistent, content-addressed [`EstimateStore`] underneath: in-memory
-//! misses read through to disk, and freshly computed estimates are written
-//! back — so *separate processes* (consecutive CLI runs, bench invocations,
-//! CI steps) pointed at the same directory share estimate work too. The disk
-//! tier keeps its own hit/miss counters
-//! ([`SharedEstimateCache::persistent_stats`]); the in-memory counters count
-//! a disk hit as a cache hit, because the caller was served without
-//! computing.
+//! and hands a clone of the `Arc` to every concurrent compilation. The cache
+//! lives in memory and dies with its process.
 //!
 //! [`DataflowEstimator`]: crate::dataflow::DataflowEstimator
 //! [`DataflowEstimator::with_shared_cache`]: crate::dataflow::DataflowEstimator::with_shared_cache
 
 use crate::device::FpgaDevice;
 use crate::latency::{buffer_info, NodeEstimate};
-use crate::store::{EstimateStore, PersistentStoreStats};
 use hida_ir_core::fingerprint::{structural_fingerprint_filtered, Fingerprint, StableHasher};
 use hida_ir_core::{lock_recover, Context, OpId};
 use std::collections::HashMap;
@@ -68,7 +58,7 @@ impl SharedCacheStats {
     }
 
     /// Adds `other`'s hit/miss counters onto `self` (entries: maximum, since
-    /// per-estimator views share one store).
+    /// per-estimator views share one map).
     pub fn accumulate(&mut self, other: &SharedCacheStats) {
         self.hits += other.hits;
         self.misses += other.misses;
@@ -102,105 +92,41 @@ pub struct SharedEstimateCache {
     entries: Mutex<HashMap<Fingerprint, NodeEstimate>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Persistent read-through/write-back tier, when attached.
-    store: Option<EstimateStore>,
 }
 
 impl SharedEstimateCache {
-    /// Creates an empty, purely in-memory cache.
+    /// Creates an empty cache.
     pub fn new() -> Self {
         SharedEstimateCache::default()
     }
 
-    /// Creates a cache layered over a persistent [`EstimateStore`]: lookups
-    /// that miss in memory read through to disk, and published estimates are
-    /// written back, so separate processes sharing the store's directory
-    /// share estimate work across runs.
-    pub fn with_store(store: EstimateStore) -> Self {
-        SharedEstimateCache {
-            store: Some(store),
-            ..SharedEstimateCache::default()
-        }
-    }
-
-    /// The attached persistent store, if any.
-    pub fn store(&self) -> Option<&EstimateStore> {
-        self.store.as_ref()
-    }
-
-    /// Traffic/maintenance counters of the persistent tier (`None` without an
-    /// attached store).
-    pub fn persistent_stats(&self) -> Option<PersistentStoreStats> {
-        self.store.as_ref().map(|s| s.stats())
-    }
-
     /// Looks up the estimate cached under `key`, counting a hit or a miss.
-    /// With a persistent store attached, an in-memory miss reads through to
-    /// disk; a disk hit is promoted into the in-memory map (and counted as a
-    /// hit — the caller was served without computing).
     pub fn lookup(&self, key: Fingerprint) -> Option<NodeEstimate> {
-        {
-            let entries = lock_recover(&self.entries);
-            if let Some(estimate) = entries.get(&key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(estimate.clone());
-            }
-        }
-        // Read through to the persistent tier outside the map lock: disk IO
-        // must not serialize concurrent in-memory lookups.
-        if let Some(estimate) = self.store.as_ref().and_then(|store| store.load(key)) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            lock_recover(&self.entries)
-                .entry(key)
-                .or_insert_with(|| estimate.clone());
-            return Some(estimate);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
+        let found = lock_recover(&self.entries).get(&key).cloned();
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Probes the cache under `key` **without** counting hit/miss traffic and
     /// without computing anything on a miss — the surrogate query the
     /// design-space explorer uses to pre-score candidate points before
-    /// deciding whether to compile them. With a persistent store attached, an
-    /// in-memory miss still reads through to disk (and promotes the entry),
-    /// so estimates written by earlier processes feed the surrogate too. The
-    /// main hit/miss counters stay untouched: a probe is a question about the
-    /// cache, not a request served by it.
+    /// deciding whether to compile them. The hit/miss counters stay
+    /// untouched: a probe is a question about the cache, not a request served
+    /// by it.
     pub fn peek(&self, key: Fingerprint) -> Option<NodeEstimate> {
-        {
-            let entries = lock_recover(&self.entries);
-            if let Some(estimate) = entries.get(&key) {
-                return Some(estimate.clone());
-            }
-        }
-        let estimate = self.store.as_ref().and_then(|store| store.load(key))?;
-        lock_recover(&self.entries)
-            .entry(key)
-            .or_insert_with(|| estimate.clone());
-        Some(estimate)
+        lock_recover(&self.entries).get(&key).cloned()
     }
 
     /// Publishes a freshly computed estimate. The first publisher wins; a
     /// concurrent duplicate is dropped (both computed the same pure function,
-    /// so the values are identical anyway). With a persistent store attached,
-    /// a first publish is also written back to disk.
+    /// so the values are identical anyway).
     pub fn publish(&self, key: Fingerprint, estimate: NodeEstimate) {
-        let inserted = {
-            let mut entries = lock_recover(&self.entries);
-            match entries.entry(key) {
-                std::collections::hash_map::Entry::Occupied(_) => false,
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(estimate.clone());
-                    true
-                }
-            }
-        };
-        if inserted {
-            if let Some(store) = &self.store {
-                store.save(key, &estimate);
-            }
-        }
+        lock_recover(&self.entries).entry(key).or_insert(estimate);
     }
 
     /// Number of cached node-per-device entries.
@@ -227,7 +153,6 @@ impl fmt::Debug for SharedEstimateCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SharedEstimateCache")
             .field("stats", &self.stats())
-            .field("persistent", &self.persistent_stats())
             .finish()
     }
 }

@@ -4,8 +4,8 @@
 //! point is worth compiling *before* paying for the compile. This module
 //! answers that question with an optimistic bound on the design's QoR vector,
 //! assembled without running the design-level timing model: per-node results
-//! already known to the [`SharedEstimateCache`] (in memory or in the
-//! persistent store) are served via [`SharedEstimateCache::peek`], and
+//! already known to the [`SharedEstimateCache`] are served via
+//! [`SharedEstimateCache::peek`], and
 //! unknown nodes fall back to [`optimistic_body_bound`] — both give the
 //! **exact** per-node latency and resources, since the per-node model is pure
 //! arithmetic over the lowered IR. What the bound cannot see are the
@@ -47,18 +47,17 @@ pub struct DesignBound {
     pub resources: Resources,
     /// Number of dataflow nodes inspected.
     pub nodes: usize,
-    /// How many of those nodes were served exactly from the shared cache /
-    /// persistent store (the rest used the optimistic per-node bound).
+    /// How many of those nodes were served exactly from the shared cache
+    /// (the rest used the optimistic per-node bound).
     pub probe_hits: usize,
 }
 
 /// Computes the optimistic QoR bound of `schedule` without running the timing
 /// model. When `cache` is given, each node is first probed (via
-/// [`SharedEstimateCache::peek`] — a non-counting read that falls through to
-/// the persistent store) and a hit contributes its **exact** latency and
-/// resources; misses contribute [`optimistic_body_bound`]. Exact latencies
-/// keep the bound sound because a node's latency is itself `<=` the design
-/// interval.
+/// [`SharedEstimateCache::peek`] — a non-counting read) and a hit contributes
+/// its **exact** latency and resources; misses contribute
+/// [`optimistic_body_bound`]. Exact latencies keep the bound sound because a
+/// node's latency is itself `<=` the design interval.
 pub fn design_bound(
     ctx: &Context,
     schedule: ScheduleOp,

@@ -39,8 +39,6 @@ pub enum IrError {
         /// Deterministic reason, e.g. `deadline of 200ms exceeded`.
         detail: String,
     },
-    /// The persistent estimate store degraded fatally for this compilation.
-    StoreDegraded(String),
 }
 
 impl fmt::Display for IrError {
@@ -57,7 +55,6 @@ impl fmt::Display for IrError {
                 write!(f, "worker panicked at {site}: {message}")
             }
             IrError::Cancelled { site, detail } => write!(f, "cancelled at {site}: {detail}"),
-            IrError::StoreDegraded(msg) => write!(f, "estimate store degraded: {msg}"),
         }
     }
 }
@@ -110,8 +107,6 @@ mod tests {
             e.to_string(),
             "cancelled at pass 'tiling': deadline of 50ms exceeded"
         );
-        let e = IrError::StoreDegraded("injected EIO".to_string());
-        assert_eq!(e.to_string(), "estimate store degraded: injected EIO");
     }
 
     #[test]

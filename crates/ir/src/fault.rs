@@ -14,9 +14,9 @@
 //!   [`run_batch_isolated`](crate::par::run_batch_isolated): the panic payload
 //!   message plus whether the unwind was a cooperative [`CancelUnwind`].
 //! * [`FaultPlan`] — seeded (splitmix64, like the fuzzer) deterministic fault
-//!   injection: pass panics, estimate-store I/O errors (EIO on read, short
-//!   writes) and artificial worker stalls, assigned to named points by a
-//!   label shuffle that is independent of job count and scheduling.
+//!   injection: pass panics and artificial worker stalls, assigned to named
+//!   points by a label shuffle that is independent of job count and
+//!   scheduling.
 //! * A thread-local *point guard* ([`install_point`]) carrying the active
 //!   token and armed faults through the compilation layers without plumbing
 //!   a parameter through every signature. All checkpoint/injection sites are
@@ -39,10 +39,10 @@ use std::time::{Duration, Instant};
 /// Acquires a mutex, recovering the guard if a previous holder panicked.
 ///
 /// Every shared `Mutex` in the workspace (pool queues, result slots, the
-/// shared estimate cache, the store's eviction lock) protects data that stays
-/// structurally valid across a panic: entries are inserted whole or not at
-/// all. Recovering from poison is therefore always safe here, and required —
-/// a panicked worker must not wedge every subsequent lookup.
+/// shared estimate cache) protects data that stays structurally valid across
+/// a panic: entries are inserted whole or not at all. Recovering from poison
+/// is therefore always safe here, and required — a panicked worker must not
+/// wedge every subsequent lookup.
 pub fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex
         .lock()
@@ -254,15 +254,9 @@ pub fn error_from_panic(site: &str, payload: Box<dyn Any + Send>) -> IrError {
 pub enum FaultKind {
     /// Panic inside the point's first pass body (isolated into `Panicked`).
     PassPanic,
-    /// EIO reading the estimate store for this point (isolated into
-    /// `StoreDegraded`).
-    StoreRead,
     /// Artificial stall at compile start (with a per-point deadline this
     /// converts into a deterministic `TimedOut`).
     Stall,
-    /// Short write publishing to the estimate store: the publish is dropped
-    /// and counted as a non-fatal `write_errors` degradation.
-    ShortWrite,
 }
 
 impl FaultKind {
@@ -270,9 +264,7 @@ impl FaultKind {
     pub fn name(&self) -> &'static str {
         match self {
             FaultKind::PassPanic => "pass-panic",
-            FaultKind::StoreRead => "store-read",
             FaultKind::Stall => "stall",
-            FaultKind::ShortWrite => "short-write",
         }
     }
 }
@@ -283,7 +275,7 @@ impl FaultKind {
 /// so retries recover) or persistent.
 ///
 /// Parsed from the CLI spec grammar
-/// `seed=7,pass-panic=1,store-read=1,stall=1,short-write=1,stall-ms=200,transient`
+/// `seed=7,pass-panic=1,stall=1,stall-ms=200,transient`
 /// (every key optional; counts default to 0).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
@@ -291,12 +283,8 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Number of points afflicted with an injected pass panic.
     pub pass_panics: usize,
-    /// Number of points afflicted with an injected store read error.
-    pub store_reads: usize,
     /// Number of points afflicted with an artificial stall.
     pub stalls: usize,
-    /// Number of points afflicted with a short store write.
-    pub short_writes: usize,
     /// Stall duration in milliseconds.
     pub stall_ms: u64,
     /// When true, faults fire only on attempt 0, so `--retries` recovers.
@@ -308,9 +296,7 @@ impl Default for FaultPlan {
         FaultPlan {
             seed: 0,
             pass_panics: 0,
-            store_reads: 0,
             stalls: 0,
-            short_writes: 0,
             stall_ms: 100,
             transient: false,
         }
@@ -346,14 +332,12 @@ impl FaultPlan {
             match key {
                 "seed" => plan.seed = parsed,
                 "pass-panic" => plan.pass_panics = parsed as usize,
-                "store-read" => plan.store_reads = parsed as usize,
                 "stall" => plan.stalls = parsed as usize,
-                "short-write" => plan.short_writes = parsed as usize,
                 "stall-ms" => plan.stall_ms = parsed,
                 other => {
                     return Err(format!(
-                        "unknown fault key '{other}' (expected seed, pass-panic, store-read, \
-                         stall, short-write, stall-ms or transient)"
+                        "unknown fault key '{other}' (expected seed, pass-panic, stall, \
+                         stall-ms or transient)"
                     ))
                 }
             }
@@ -363,21 +347,14 @@ impl FaultPlan {
 
     /// True when the plan injects nothing.
     pub fn is_empty(&self) -> bool {
-        self.pass_panics + self.store_reads + self.stalls + self.short_writes == 0
-    }
-
-    /// Number of injected faults that always fail their point (pass panics
-    /// and store read errors; stalls only fail under a deadline, short
-    /// writes never do).
-    pub fn fatal_faults(&self) -> usize {
-        self.pass_panics + self.store_reads
+        self.pass_panics + self.stalls == 0
     }
 
     /// Deterministically assigns fault kinds to distinct labels: a seeded
     /// Fisher–Yates shuffle of the label indices, then the first
-    /// `pass_panics` get [`FaultKind::PassPanic`], the next `store_reads`
-    /// get [`FaultKind::StoreRead`], and so on. Counts beyond the label set
-    /// are clamped. Independent of job count and scheduling by construction.
+    /// `pass_panics` get [`FaultKind::PassPanic`] and the next `stalls` get
+    /// [`FaultKind::Stall`]. Counts beyond the label set are clamped.
+    /// Independent of job count and scheduling by construction.
     pub fn assign(&self, labels: &[String]) -> BTreeMap<String, FaultKind> {
         let mut order: Vec<usize> = (0..labels.len()).collect();
         let mut state = self.seed;
@@ -394,9 +371,7 @@ impl FaultPlan {
             }
         };
         take(self.pass_panics, FaultKind::PassPanic, &mut assignment);
-        take(self.store_reads, FaultKind::StoreRead, &mut assignment);
         take(self.stalls, FaultKind::Stall, &mut assignment);
-        take(self.short_writes, FaultKind::ShortWrite, &mut assignment);
         assignment
     }
 
@@ -405,9 +380,7 @@ impl FaultPlan {
         let mut faults = PointFaults::default();
         match kind {
             FaultKind::PassPanic => faults.pass_panic = true,
-            FaultKind::StoreRead => faults.store_read = true,
             FaultKind::Stall => faults.stall_ms = Some(self.stall_ms),
-            FaultKind::ShortWrite => faults.short_write = true,
         }
         faults
     }
@@ -419,10 +392,6 @@ impl FaultPlan {
 pub struct PointFaults {
     /// Panic inside the first pass body.
     pub pass_panic: bool,
-    /// EIO on the estimate-store read-through.
-    pub store_read: bool,
-    /// Drop one store publish as a short write.
-    pub short_write: bool,
     /// Sleep this long at compile start.
     pub stall_ms: Option<u64>,
 }
@@ -430,7 +399,7 @@ pub struct PointFaults {
 impl PointFaults {
     /// True when nothing is armed.
     pub fn is_empty(&self) -> bool {
-        !self.pass_panic && !self.store_read && !self.short_write && self.stall_ms.is_none()
+        !self.pass_panic && self.stall_ms.is_none()
     }
 }
 
@@ -447,8 +416,6 @@ struct PointCtx {
     token: CancelToken,
     /// One-shot firing state for the armed faults of this attempt.
     pass_panic: Cell<bool>,
-    store_read: Cell<bool>,
-    short_write: Cell<bool>,
     stall_ms: Cell<Option<u64>>,
 }
 
@@ -468,8 +435,6 @@ pub fn install_point(token: CancelToken, faults: Option<PointFaults>) -> PointGu
     let ctx = PointCtx {
         token,
         pass_panic: Cell::new(faults.pass_panic),
-        store_read: Cell::new(faults.store_read),
-        short_write: Cell::new(faults.short_write),
         stall_ms: Cell::new(faults.stall_ms),
     };
     let prev = POINT.with(|p| p.borrow_mut().replace(ctx));
@@ -548,25 +513,6 @@ pub fn injected_pass_panic(pass: &str) {
     if fire {
         panic!("injected fault: pass panic at '{pass}'");
     }
-}
-
-/// Injection site: fails once per attempt with [`IrError::StoreDegraded`]
-/// when a store read error is armed (the estimate-store read-through at
-/// estimation start).
-pub fn injected_store_read(site: &str) -> IrResult<()> {
-    let fire = with_point(|ctx| ctx.store_read.replace(false)).unwrap_or(false);
-    if fire {
-        return Err(IrError::StoreDegraded(format!(
-            "injected EIO reading estimate store at {site}"
-        )));
-    }
-    Ok(())
-}
-
-/// Injection site: true once per attempt when a short store write is armed
-/// (the caller drops the publish and counts a `write_errors` degradation).
-pub fn injected_short_write() -> bool {
-    with_point(|ctx| ctx.short_write.replace(false)).unwrap_or(false)
 }
 
 /// Injection site: sleeps once per attempt when a stall is armed.
@@ -650,17 +596,16 @@ mod tests {
     #[test]
     fn fault_plan_parses_the_spec_grammar() {
         assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::default());
-        let plan =
-            FaultPlan::parse("seed=7,pass-panic=2,store-read=1,stall=1,stall-ms=50,transient")
-                .unwrap();
+        let plan = FaultPlan::parse("seed=7,pass-panic=2,stall=1,stall-ms=50,transient").unwrap();
         assert_eq!(plan.seed, 7);
         assert_eq!(plan.pass_panics, 2);
-        assert_eq!(plan.store_reads, 1);
         assert_eq!(plan.stalls, 1);
         assert_eq!(plan.stall_ms, 50);
         assert!(plan.transient);
-        assert_eq!(plan.fatal_faults(), 3);
-        assert!(FaultPlan::parse("bogus=1").is_err());
+        for unknown in ["bogus=1", "store-read=1", "short-write=1"] {
+            let err = FaultPlan::parse(unknown).unwrap_err();
+            assert!(err.starts_with("unknown fault key"), "{unknown}: {err}");
+        }
         assert!(FaultPlan::parse("pass-panic").is_err());
         assert!(FaultPlan::parse("seed=x").is_err());
     }
@@ -668,7 +613,7 @@ mod tests {
     #[test]
     fn fault_assignment_is_deterministic_and_distinct() {
         let labels: Vec<String> = (0..8).map(|i| format!("p{i:02}")).collect();
-        let plan = FaultPlan::parse("seed=3,pass-panic=2,store-read=1,stall=1").unwrap();
+        let plan = FaultPlan::parse("seed=3,pass-panic=2,stall=2").unwrap();
         let a = plan.assign(&labels);
         let b = plan.assign(&labels);
         assert_eq!(a, b, "same seed, same assignment");
@@ -677,7 +622,7 @@ mod tests {
             a.values().filter(|&&k| k == FaultKind::PassPanic).count(),
             2
         );
-        let other = FaultPlan::parse("seed=4,pass-panic=2,store-read=1,stall=1")
+        let other = FaultPlan::parse("seed=4,pass-panic=2,stall=2")
             .unwrap()
             .assign(&labels);
         assert!(a != other || labels.len() <= 4, "seeds shuffle differently");
@@ -691,7 +636,7 @@ mod tests {
     fn checkpoints_are_inert_without_a_guard_and_fire_with_one() {
         assert!(checkpoint("nowhere").is_ok());
         checkpoint_or_unwind("nowhere");
-        assert!(!injected_short_write());
+        injected_pass_panic("nowhere");
 
         let token = CancelToken::new();
         let guard = install_point(token.clone(), None);
@@ -712,9 +657,7 @@ mod tests {
     fn injection_sites_fire_exactly_once_per_guard() {
         let faults = PointFaults {
             pass_panic: true,
-            store_read: true,
-            short_write: true,
-            stall_ms: Some(0),
+            stall_ms: Some(20),
         };
         let _guard = install_point(CancelToken::new(), Some(faults));
         let panic = std::panic::catch_unwind(|| injected_pass_panic("construct"))
@@ -725,12 +668,11 @@ mod tests {
         // Second probe: already fired.
         injected_pass_panic("construct");
 
-        let err = injected_store_read("estimator/store-read").unwrap_err();
-        assert!(matches!(err, IrError::StoreDegraded(_)), "{err}");
-        assert!(injected_store_read("estimator/store-read").is_ok());
-
-        assert!(injected_short_write());
-        assert!(!injected_short_write());
+        let start = Instant::now();
+        injected_stall("compile:start");
+        assert!(start.elapsed() >= Duration::from_millis(20));
+        // Second probe: the stall is disarmed, so it cannot sleep again.
+        assert_eq!(with_point(|ctx| ctx.stall_ms.get()), Some(None));
         injected_stall("compile:start");
     }
 

@@ -485,9 +485,7 @@ impl PassManager {
                     // Structured fault and cancellation errors keep their
                     // variant so callers can classify the failure; wrapping
                     // would collapse them into a generic `PassFailed`.
-                    e @ (IrError::Cancelled { .. }
-                    | IrError::WorkerPanic { .. }
-                    | IrError::StoreDegraded(_)) => e,
+                    e @ (IrError::Cancelled { .. } | IrError::WorkerPanic { .. }) => e,
                     other => IrError::pass_failed(&name, other.to_string()),
                 }
             });
