@@ -26,28 +26,17 @@ run_build() {
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 }
 
-# Unit, integration, doc and bench-harness tests.
+# Unit, integration and doc tests, plus the self-tests of the bench-e2e
+# harness, which builds against the library crates from its own workspace.
 run_test() {
   echo "==> [test] cargo test -q"
   cargo test -q
 
-  echo "==> [test] cargo test --benches -q -- --test (bench smoke run, 1 iteration each)"
-  cargo test --benches -q -- --test
-
   echo "==> [test] cargo test --doc (build + run the documentation examples)"
   cargo test --doc -q
 
-  echo "==> [test] bench_ir smoke: every IR micro-bench once, harness must stay alive"
-  local bench_ir_json
-  bench_ir_json=$(mktemp /tmp/BENCH_ir.XXXXXX.json)
-  cargo run --release -q -p hida-bench --bin bench_ir -- \
-    --smoke --json "${bench_ir_json}"
-  cat "${bench_ir_json}"
-  rm -f "${bench_ir_json}"
-  if [[ -f BENCH_ir.json ]]; then
-    echo "checked-in BENCH_ir.json:"
-    cat BENCH_ir.json
-  fi
+  echo "==> [test] bench-e2e self-tests (the benchmark harness must build and pass)"
+  cargo test --release --offline -q --manifest-path bench-e2e/Cargo.toml
 }
 
 # Parallel execution must be invisible in the output. `--no-timing` suppresses

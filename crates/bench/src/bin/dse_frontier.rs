@@ -16,53 +16,32 @@
 //!
 //! `--full` runs the paper's full 9x5 grid; `--budget <n>` caps the explorer's
 //! compilations; `--seed <n>` reseeds the lattice walk; `--jobs <n>` caps the
-//! total worker-thread budget of both arms.
+//! total worker-thread budget of both arms. Any other argument is rejected
+//! with exit code 2 ([`hida_bench::cli`]). The report carries no wall-clock:
+//! the explorer's time against the exhaustive sweep is measured by
+//! `bench-e2e --workload fig10-sweep --trace 1` (`explore.ms` against
+//! `sweep.unshared_ms`).
 
 use hida::sweep::{json_escape, JobBudget, SweepEngine, SweepPoint};
 use hida::{
     ExploreConfig, Explorer, Frontier, FrontierPoint, HidaOptions, Model, Objective, Workload,
 };
+use hida_bench::cli::{self, Cli};
 use hida_bench::variants;
 
+const CLI: Cli = Cli {
+    usage: "usage: dse_frontier [--full] [--jobs <n>] [--seed <n>] [--budget <n>] [--json <path>]",
+    switches: &["--full"],
+    valued: &["--jobs", "--seed", "--budget", "--json"],
+};
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let json_path = value_of("--json").unwrap_or_else(|| "BENCH_dse.json".to_string());
-    let jobs: usize = match value_of("--jobs") {
-        Some(raw) => match raw.parse() {
-            Ok(jobs) if jobs >= 1 => jobs,
-            _ => {
-                eprintln!("error: --jobs: '{raw}' is not a positive integer");
-                std::process::exit(2);
-            }
-        },
-        None => hida::ir::default_jobs(),
-    };
-    let seed: u64 = match value_of("--seed") {
-        Some(raw) => match raw.parse() {
-            Ok(seed) => seed,
-            Err(_) => {
-                eprintln!("error: --seed: '{raw}' is not an integer");
-                std::process::exit(2);
-            }
-        },
-        None => 0,
-    };
-    let budget: Option<usize> = match value_of("--budget") {
-        Some(raw) => match raw.parse() {
-            Ok(b) if b >= 1 => Some(b),
-            _ => {
-                eprintln!("error: --budget: '{raw}' is not a positive integer");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    };
+    let args = CLI.parse_env();
+    let full = args.switch("--full");
+    let json_path = args.value("--json").unwrap_or("BENCH_dse.json");
+    let jobs = cli::or_exit(args.positive("--jobs")).unwrap_or_else(hida::ir::default_jobs);
+    let seed = cli::or_exit(args.integer("--seed")).unwrap_or(0);
+    let budget = cli::or_exit(args.positive("--budget"));
 
     let parallel_factors: Vec<i64> = if full {
         vec![1, 2, 4, 8, 16, 32, 64, 128, 256]
@@ -203,10 +182,6 @@ fn main() {
         explored.frontier.len(),
         100.0 * coverage
     );
-    println!(
-        "wall-clock: exhaustive {:.4}s, explorer {:.4}s",
-        exhaustive.wall_seconds, explored.wall_seconds
-    );
 
     let frontier_json: Vec<String> = explored
         .frontier
@@ -239,22 +214,19 @@ fn main() {
         .collect();
     let json = format!(
         "{{\n  \"sweep\": \"{grid}\",\n  \"available_parallelism\": {},\n  \"jobs\": {jobs},\n  \
-         \"seed\": {seed},\n  \"num_grid_points\": {},\n  \"exhaustive_seconds\": {:.6},\n  \
-         \"explorer_seconds\": {:.6},\n  \"exhaustive_frontier_size\": {},\n  \
+         \"seed\": {seed},\n  \"num_grid_points\": {},\n  \"exhaustive_frontier_size\": {},\n  \
          \"compiled_points\": {},\n  \"compiles_saved\": {compiles_saved},\n  \
          \"pruned_by_surrogate\": {},\n  \"frontier_coverage\": {coverage:.3},\n  \
          \"qor_identical\": {qor_identical},\n  \"generations\": [{}],\n  \"frontier\": [{}]\n}}",
         std::thread::available_parallelism().map_or(1, usize::from),
         points.len(),
-        exhaustive.wall_seconds,
-        explored.wall_seconds,
         exhaustive_frontier.len(),
         explored.points.len(),
         explored.pruned,
         generations_json.join(","),
         frontier_json.join(","),
     );
-    match std::fs::write(&json_path, format!("{json}\n")) {
+    match std::fs::write(json_path, format!("{json}\n")) {
         Ok(()) => println!("dse report written to {json_path}"),
         Err(e) => eprintln!("error: could not write {json_path}: {e}"),
     }

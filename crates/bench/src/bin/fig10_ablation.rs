@@ -9,67 +9,29 @@
 //! [`hida_bench::variants::fig10`] helper. The design points run through the
 //! [`SweepRunner`]: a pooled, estimate-sharing sweep is compared against the
 //! sequential share-nothing loop (byte-identical per-point QoR enforced), and
-//! the wall-clock/speedup/cache-traffic summary is written to
+//! the per-point QoR and cache-traffic summary is written to
 //! `BENCH_sweep.json` (override with `--sweep-json <path>`). `--jobs <n>` caps
-//! the sweep's total worker-thread budget.
+//! the sweep's total worker-thread budget. Compile time is measured by the
+//! `bench-e2e` harness, not here.
 //!
-//! Any other argument is rejected with exit code 2, so a typo such as
-//! `--jbos 4` cannot silently run with defaults.
+//! Any other argument is rejected with exit code 2 ([`hida_bench::cli`]), so
+//! a typo such as `--jbos 4` cannot silently run with defaults.
 
 use hida::{HidaOptions, Model, SweepPoint, Workload};
+use hida_bench::cli::{self, Cli};
 use hida_bench::{variants, SweepRunner};
 
-const USAGE: &str = "usage: fig10_ablation [--full] [--jobs <n>] [--sweep-json <path>]";
-
-/// The parsed command line.
-struct Args {
-    full: bool,
-    jobs: usize,
-    json_path: String,
-}
-
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        full: false,
-        jobs: hida::ir::default_jobs(),
-        json_path: "BENCH_sweep.json".to_string(),
-    };
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let mut value_of = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        match arg.as_str() {
-            "--full" => args.full = true,
-            "--sweep-json" => args.json_path = value_of("--sweep-json")?,
-            "--jobs" => {
-                let raw = value_of("--jobs")?;
-                args.jobs = match raw.parse() {
-                    Ok(jobs) if jobs >= 1 => jobs,
-                    _ => return Err(format!("--jobs: '{raw}' is not a positive integer")),
-                };
-            }
-            other => return Err(format!("unknown argument '{other}' ({USAGE})")),
-        }
-    }
-    Ok(args)
-}
+const CLI: Cli = Cli {
+    usage: "usage: fig10_ablation [--full] [--jobs <n>] [--sweep-json <path>]",
+    switches: &["--full"],
+    valued: &["--jobs", "--sweep-json"],
+};
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Args {
-        full,
-        jobs,
-        json_path,
-    } = match parse_args(&argv) {
-        Ok(args) => args,
-        Err(message) => {
-            eprintln!("error: {message}");
-            std::process::exit(2);
-        }
-    };
+    let args = CLI.parse_env();
+    let full = args.switch("--full");
+    let jobs = cli::or_exit(args.positive("--jobs")).unwrap_or_else(hida::ir::default_jobs);
+    let json_path = args.value("--sweep-json").unwrap_or("BENCH_sweep.json");
 
     let parallel_factors: Vec<i64> = if full {
         vec![1, 2, 4, 8, 16, 32, 64, 128, 256]
@@ -118,13 +80,13 @@ fn main() {
         }
     }
 
-    println!("\n# Per-pass compile-time breakdown (last design point)");
+    println!("\n# Per-pass statistics (last design point)");
     for stat in last_statistics {
         println!("{stat}");
     }
 
     comparison.print_summary();
-    match comparison.write_json(&json_path) {
+    match comparison.write_json(json_path) {
         Ok(()) => println!("sweep report written to {json_path}"),
         Err(e) => eprintln!("error: could not write {json_path}: {e}"),
     }

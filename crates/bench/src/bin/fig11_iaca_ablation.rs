@@ -10,12 +10,21 @@
 //! design points fan out through the [`SweepRunner`] pool with cross-
 //! compilation estimate sharing; per-point results are identical to the old
 //! sequential loop by construction (the fig10 harness and CI enforce it).
+//!
+//! Any other argument is rejected with exit code 2 ([`hida_bench::cli`]).
 
 use hida::{Compiler, HidaOptions, Model, ParallelMode, SweepPoint, Workload};
+use hida_bench::cli::Cli;
 use hida_bench::{variants, SweepRunner};
 
+const CLI: Cli = Cli {
+    usage: "usage: fig11_iaca_ablation [--full]",
+    switches: &["--full"],
+    valued: &[],
+};
+
 fn main() {
-    let full = std::env::args().any(|a| a == "--full");
+    let full = CLI.parse_env().switch("--full");
     let parallel_factors: Vec<i64> = if full {
         vec![1, 2, 4, 8, 16, 32, 64, 128, 256]
     } else {
@@ -62,9 +71,8 @@ fn main() {
     }
     if let Some(cache) = &outcome.shared_cache {
         println!(
-            "\n# Sweep: {} points in {:.3}s ({} concurrent), estimate cache {cache}",
+            "\n# Sweep: {} points ({} concurrent), estimate cache {cache}",
             outcome.points.len(),
-            outcome.wall_seconds,
             outcome.budget.pool_jobs
         );
     }

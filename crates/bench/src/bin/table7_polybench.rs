@@ -3,7 +3,8 @@
 //!
 //! The independent HIDA compilations (one per kernel) fan out through the
 //! [`SweepRunner`] pool with cross-compilation estimate sharing; the analytic
-//! baselines then run sequentially against the same estimator.
+//! baselines then run sequentially against the same estimator. Compile time
+//! is measured by the `bench-e2e` harness (`polybench-text` workload).
 
 use hida::estimator::dataflow::DataflowEstimator;
 use hida::ir::Context;
@@ -54,9 +55,8 @@ fn main() {
         let vitis_est = hida::baselines::vitis::estimate(&mut ctx, func, &device);
 
         println!(
-            "{:<12} compile {:.2}s  LUT {:<7} FF {:<7} DSP {:<4} | hida {:>12.2}  scalehls {:>12.2}  soff {:>12.2}  vitis {:>12.2}",
+            "{:<12} LUT {:<7} FF {:<7} DSP {:<4} | hida {:>12.2}  scalehls {:>12.2}  soff {:>12.2}  vitis {:>12.2}",
             kernel.name(),
-            point.seconds,
             hida_est.resources.lut,
             hida_est.resources.ff,
             hida_est.resources.dsp,
@@ -78,9 +78,8 @@ fn main() {
     print_throughput_table("Table 7 summary", &rows);
     if let Some(cache) = &outcome.shared_cache {
         println!(
-            "\nsweep: {} kernels in {:.3}s ({} concurrent), estimate cache {cache}",
+            "\nsweep: {} kernels ({} concurrent), estimate cache {cache}",
             outcome.points.len(),
-            outcome.wall_seconds,
             outcome.budget.pool_jobs
         );
     }

@@ -5,7 +5,8 @@
 //! [`SweepRunner`] pool; layers repeated across models (and within them) share
 //! their QoR estimates through the cross-compilation cache. Per-point results
 //! are identical to the old sequential loop — the merge order is
-//! deterministic and the estimate cache is content-addressed.
+//! deterministic and the estimate cache is content-addressed. Compile time
+//! is measured by the `bench-e2e` harness (`dnn-models` workload).
 
 use hida::estimator::dataflow::DataflowEstimator;
 use hida::ir::Context;
@@ -50,9 +51,8 @@ fn main() {
             hida::baselines::dnnbuilder::estimate(model, hida_est.macs_per_sample, &device);
 
         println!(
-            "{:<12} compile {:>6.1}s LUT {:<8} DSP {:<5} | hida {:>9.2} sps ({:>5.1}% eff) | dnnbuilder {} | scalehls {}",
+            "{:<12} LUT {:<8} DSP {:<5} | hida {:>9.2} sps ({:>5.1}% eff) | dnnbuilder {} | scalehls {}",
             model.name(),
-            point.seconds,
             hida_est.resources.lut,
             hida_est.resources.dsp,
             hida_est.throughput(),
@@ -97,9 +97,8 @@ fn main() {
     print_throughput_table("Table 8 DSP efficiency", &efficiency_rows);
     if let Some(cache) = &outcome.shared_cache {
         println!(
-            "\nsweep: {} models in {:.3}s ({} concurrent), estimate cache {cache}",
+            "\nsweep: {} models ({} concurrent), estimate cache {cache}",
             outcome.points.len(),
-            outcome.wall_seconds,
             outcome.budget.pool_jobs
         );
     }

@@ -5,13 +5,19 @@
 //! Beyond table printing, this crate hosts the pieces every bench binary now
 //! shares instead of re-implementing:
 //!
+//! * [`cli`] — the argument parser of the binaries that take arguments, which
+//!   rejects unknown or malformed arguments with exit code 2,
 //! * [`variants`] — the pipeline-string builders behind the figure/table
 //!   ablations (one source of truth for the swept flows),
 //! * [`SweepRunner`] — the harness that drives a list of design points
-//!   through the sweep engine ([`hida::SweepEngine`]), compares the pooled
+//!   through the sweep engine ([`hida::SweepEngine`]), checks the pooled
 //!   shared-cache run against the sequential share-nothing loop, and emits
-//!   the `BENCH_sweep.json` perf-trajectory artifact.
+//!   the `BENCH_sweep.json` QoR and cache-traffic report.
+//!
+//! The binaries take no timings of their own: compile time is measured by the
+//! `bench-e2e` harness at the repository root.
 
+pub mod cli;
 pub mod variants;
 
 mod sweep_runner;

@@ -5,9 +5,9 @@
 //! [`SweepRunner::compare`] mode additionally replays the points through
 //! today's baseline — a sequential, share-nothing loop — verifies that every
 //! design point's QoR, emitted C++ and printed IR are **byte-identical**
-//! across the two runs, and summarizes wall-clock, speedup and cross-
-//! compilation cache traffic as the `BENCH_sweep.json` perf-trajectory
-//! artifact CI records.
+//! across the two runs, and summarizes per-point QoR and cross-compilation
+//! cache traffic as the `BENCH_sweep.json` report CI checks. It times
+//! nothing: `bench-e2e --workload fig10-sweep` measures sweep wall-clock.
 
 use hida::ir::printer::print_op;
 use hida::sweep::json_escape;
@@ -71,25 +71,13 @@ impl SweepRunner {
     /// Runs the sweep twice and verifies per-point byte-identity of the
     /// results. The baseline arm is the pre-sweep bench loop: points one
     /// after another, share-nothing, with the *same* `total_jobs` thread
-    /// budget spent on per-point (node-level) parallelism — so the recorded
-    /// speedup isolates what sweep-level pooling and the cross-compilation
-    /// cache add, rather than re-counting per-point threads that already
-    /// existed.
+    /// budget spent on per-point (node-level) parallelism.
     pub fn compare(&self, total_jobs: usize) -> SweepComparison {
-        let baseline_budget = JobBudget {
-            pool_jobs: 1,
-            point_jobs: total_jobs.max(1),
-        };
-        // Untimed warm-up: pay the one-off process costs (lazy allocations,
-        // cold code paths) before either timed arm, so neither is biased.
-        if let Some(first) = self.points.first() {
-            SweepEngine::new()
-                .with_budget(baseline_budget)
-                .with_shared_estimates(false)
-                .run(std::slice::from_ref(first));
-        }
         let sequential = SweepEngine::new()
-            .with_budget(baseline_budget)
+            .with_budget(JobBudget {
+                pool_jobs: 1,
+                point_jobs: total_jobs.max(1),
+            })
             .with_shared_estimates(false)
             .run(&self.points);
         let parallel = self.run(total_jobs);
@@ -101,7 +89,6 @@ impl SweepRunner {
         }
         SweepComparison {
             name: self.name.clone(),
-            sequential_seconds: sequential.wall_seconds,
             outcome: parallel,
             mismatches,
         }
@@ -136,14 +123,12 @@ fn compilation_difference(a: &CompilationResult, b: &CompilationResult) -> Optio
     None
 }
 
-/// The result of [`SweepRunner::compare`]: the pooled outcome, the sequential
-/// baseline's wall-clock, and the byte-identity verdict.
+/// The result of [`SweepRunner::compare`]: the pooled outcome and the
+/// byte-identity verdict against the sequential baseline.
 #[derive(Debug)]
 pub struct SweepComparison {
     /// The sweep's name.
     pub name: String,
-    /// Wall-clock seconds of the sequential share-nothing loop.
-    pub sequential_seconds: f64,
     /// The pooled, estimate-sharing run.
     pub outcome: SweepOutcome,
     /// Human-readable descriptions of per-point result differences (empty
@@ -156,11 +141,6 @@ impl SweepComparison {
     /// between the sequential and pooled runs.
     pub fn qor_identical(&self) -> bool {
         self.mismatches.is_empty()
-    }
-
-    /// Wall-clock speedup of the pooled run over the sequential loop.
-    pub fn speedup(&self) -> f64 {
-        self.sequential_seconds / self.outcome.wall_seconds.max(f64::MIN_POSITIVE)
     }
 
     /// Prints the comparison summary to stdout.
@@ -176,12 +156,6 @@ impl SweepComparison {
             budget.pool_jobs,
             budget.point_jobs,
             hida::ir::default_jobs()
-        );
-        println!(
-            "wall-clock: sequential loop {:.3}s, pooled sweep {:.3}s -> {:.2}x speedup",
-            self.sequential_seconds,
-            self.outcome.wall_seconds,
-            self.speedup()
         );
         if let Some(cache) = &self.outcome.shared_cache {
             println!("cross-compilation estimate cache: {cache}");
@@ -211,17 +185,6 @@ impl SweepComparison {
         let _ = writeln!(out, "  \"pool_jobs\": {},", budget.pool_jobs);
         let _ = writeln!(out, "  \"point_jobs\": {},", budget.point_jobs);
         let _ = writeln!(out, "  \"num_points\": {},", self.outcome.points.len());
-        let _ = writeln!(
-            out,
-            "  \"sequential_seconds\": {:.6},",
-            self.sequential_seconds
-        );
-        let _ = writeln!(
-            out,
-            "  \"parallel_seconds\": {:.6},",
-            self.outcome.wall_seconds
-        );
-        let _ = writeln!(out, "  \"speedup\": {:.3},", self.speedup());
         let _ = writeln!(out, "  \"qor_identical\": {},", self.qor_identical());
         let _ = writeln!(
             out,
@@ -242,10 +205,9 @@ impl SweepComparison {
                 Ok(result) => {
                     let _ = writeln!(
                         out,
-                        "    {{\"label\": \"{}\", \"seconds\": {:.6}, \"throughput\": {:.3}, \
+                        "    {{\"label\": \"{}\", \"throughput\": {:.3}, \
                          \"dsp\": {}, \"bram_18k\": {}, \"shared_hits\": {}, \"shared_misses\": {}}}{comma}",
                         json_escape(&point.label),
-                        point.seconds,
                         result.estimate.throughput(),
                         result.estimate.resources.dsp,
                         result.estimate.resources.bram_18k,
@@ -256,9 +218,8 @@ impl SweepComparison {
                 Err(e) => {
                     let _ = writeln!(
                         out,
-                        "    {{\"label\": \"{}\", \"seconds\": {:.6}, \"error\": \"{}\"}}{comma}",
+                        "    {{\"label\": \"{}\", \"error\": \"{}\"}}{comma}",
                         json_escape(&point.label),
-                        point.seconds,
                         json_escape(&e.to_string()),
                     );
                 }
@@ -321,6 +282,10 @@ mod tests {
         let json = comparison.to_json();
         assert!(json.contains("\"qor_identical\": true"), "{json}");
         assert!(json.contains("\"sweep\": \"test-sweep\""), "{json}");
+        assert!(
+            !json.contains("seconds"),
+            "the report times nothing: {json}"
+        );
         comparison.print_summary();
     }
 

@@ -369,15 +369,7 @@ impl Compiler {
     pub fn lower(&self, workload: Workload) -> IrResult<LoweredDesign> {
         let mut ctx = Context::new();
         let (module, func) = build_workload(&mut ctx, workload)?;
-        let mut pipeline = match &self.pipeline {
-            Some(text) => Pipeline::parse(&registry(), text)
-                .map_err(|e| IrError::pass_failed("hida-pipeline", e.to_string()))?,
-            None => Pipeline::from_options(&self.options),
-        }
-        .with_jobs(self.jobs);
-        if !self.verification {
-            pipeline = pipeline.with_verification(false);
-        }
+        let mut pipeline = self.build_pipeline()?;
         let schedule = pipeline.run(&mut ctx, func)?;
         Ok(LoweredDesign {
             ctx,
@@ -385,6 +377,20 @@ impl Compiler {
             func,
             schedule,
         })
+    }
+
+    /// The pass pipeline this compiler runs: the explicit pipeline text if
+    /// one was set, else the flow derived from the options, with the job
+    /// count and verification setting applied.
+    fn build_pipeline(&self) -> IrResult<Pipeline> {
+        let pipeline = match &self.pipeline {
+            Some(text) => Pipeline::parse(&registry(), text)
+                .map_err(|e| IrError::pass_failed("hida-pipeline", e.to_string()))?,
+            None => Pipeline::from_options(&self.options),
+        };
+        Ok(pipeline
+            .with_jobs(self.jobs)
+            .with_verification(self.verification))
     }
 
     /// Compiles an already-constructed function (advanced use: custom front-ends).
@@ -401,15 +407,7 @@ impl Compiler {
         // Chaos-harness site: an armed stall sleeps here, at the very start of
         // the point's compilation, where a per-point deadline will catch it.
         hida_ir_core::fault::injected_stall("compile:start");
-        let mut pipeline = match &self.pipeline {
-            Some(text) => Pipeline::parse(&registry(), text)
-                .map_err(|e| IrError::pass_failed("hida-pipeline", e.to_string()))?,
-            None => Pipeline::from_options(&self.options),
-        }
-        .with_jobs(self.jobs);
-        if !self.verification {
-            pipeline = pipeline.with_verification(false);
-        }
+        let mut pipeline = self.build_pipeline()?;
         let schedule = pipeline.run(&mut ctx, func)?;
         let pass_statistics = pipeline.statistics().to_vec();
         let analysis_cache = PassStatistics::aggregate_cache(&pass_statistics);
